@@ -24,6 +24,7 @@ from .experiments import (
     run_experiment,
     synthesize_config_signal,
     _measure,
+    _with_seed,
 )
 from .lpft import lpft_sweep
 from .model import apply_noise
@@ -56,8 +57,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed", type=int, default=None,
                        help="override every seed in the config")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for Monte-Carlo tables")
         p.add_argument("--plot-script", action="store_true",
                        help="also write a gnuplot script for the artifacts")
         return p
@@ -92,15 +91,6 @@ def _check_kind(command: str, kind: str):
         raise ConfigError(
             f"command {command!r} needs an experiment kind in {allowed}, got {kind!r}"
         )
-
-
-def _apply_seed(config, seed):
-    if seed is None:
-        return config
-    from dataclasses import replace
-
-    return replace(config, seed=seed, snr_seed=seed, pt_seed=seed,
-                   noise=replace(config.noise, seed=seed))
 
 
 def _run_stage(args, config) -> list:
@@ -148,12 +138,12 @@ def main(argv=None) -> int:
         config = _load(args)
         _check_kind(args.command, config.kind)
         if args.command in ("synth", "sample", "sweep"):
-            config = _apply_seed(config, args.seed)
+            config = _with_seed(config, args.seed)
             for line in _run_stage(args, config):
                 print(line)
             return 0
-        outcome = run_experiment(config, args.out, threads=args.threads,
-                                 seed=args.seed, plot_script=args.plot_script)
+        outcome = run_experiment(config, args.out, seed=args.seed,
+                                 plot_script=args.plot_script)
         title = outcome.kind if not outcome.label else f"{outcome.kind}: {outcome.label}"
         print(title)
         for line in outcome.summary:

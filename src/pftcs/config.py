@@ -338,6 +338,8 @@ def _build(parser) -> ExperimentConfig:
         seed = sampling.get_int("seed", default=0)
         if count is not None and fraction is not None:
             raise ConfigError("[sampling] give either count or fraction, not both")
+        if count is not None and count < 1:
+            raise ConfigError(f"[sampling] count must be at least 1, got {count}")
         if count is not None and count > length:
             raise ConfigError(
                 f"[sampling] measurement count {count} exceeds signal length {length}"

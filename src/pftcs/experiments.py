@@ -2,13 +2,12 @@
 
 Each runner is deterministic for a fixed config: masks, noise, and trial
 streams all derive from PCG64 seeded with the config's seeds, so artifact
-files are byte-identical across runs and thread counts.
+files are byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from . import csvio
 from .analysis import PhaseTransitionGrid, phase_transition, snr_experiment
 from .config import ConfigError, ExperimentConfig
-from .lpft import lpft_cs_estimate, lpft_recover, lpft_sweep
+from .lpft import lpft_cs_estimate, lpft_recover
 from .model import (
     MeasurementSet,
     MultiComponentSignal,
@@ -24,7 +23,7 @@ from .model import (
     select_measurements,
     synthesize,
 )
-from .recovery import recover, sweep
+from .recovery import cs_spectral_estimate, recover, sweep
 
 __all__ = ["ExperimentOutcome", "run_experiment", "synthesize_config_signal"]
 
@@ -106,7 +105,7 @@ def _relative_error(reference, estimate) -> float:
     return err_energy / float(np.sum(np.abs(ref) ** 2))
 
 
-def _run_sweep_recover(config: ExperimentConfig, out_dir, threads) -> ExperimentOutcome:
+def _run_sweep_recover(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
     clean = synthesize_config_signal(config)
     samples, achieved = apply_noise(clean, config.noise)
     meas = _measure(config, samples)
@@ -122,8 +121,6 @@ def _run_sweep_recover(config: ExperimentConfig, out_dir, threads) -> Experiment
     _write(files, out_dir, "reconstruction.csv", csvio.write_signal_csv,
            result.reconstructed, config.index_origin)
     best = max(points, key=lambda p: p.score)
-    from .recovery import cs_spectral_estimate
-
     _write(files, out_dir, "spectrum.csv", csvio.write_spectrum_csv,
            cs_spectral_estimate(meas, best.params))
 
@@ -169,12 +166,12 @@ def _runs(assignments):
         yield current
 
 
-def _run_lpft_recover(config: ExperimentConfig, out_dir, threads) -> ExperimentOutcome:
+def _run_lpft_recover(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
     clean = synthesize_config_signal(config)
     samples, achieved = apply_noise(clean, config.noise)
     meas = _measure(config, samples)
-    points = lpft_sweep(meas, config.grid, config.window, config.policy)
     result = lpft_recover(meas, config.grid, config.window, config.policy)
+    points = result.sweep
     error = _relative_error(clean, result.reconstructed)
 
     files = []
@@ -212,27 +209,15 @@ def _run_lpft_recover(config: ExperimentConfig, out_dir, threads) -> ExperimentO
     return ExperimentOutcome(config.kind, config.label, tuple(summary), tuple(files))
 
 
-def _run_snr_table(config: ExperimentConfig, out_dir, threads) -> ExperimentOutcome:
+def _run_snr_table(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
     signal = MultiComponentSignal(config.components, config.signal_length,
                                   config.index_origin)
-    rows = [
-        (row_index, snr_in, count)
-        for row_index, (snr_in, count) in enumerate(
-            (s, n) for s in config.snr_in_db for n in config.snr_counts
-        )
+    rows = [(s, n) for s in config.snr_in_db for n in config.snr_counts]
+    reports = [
+        snr_experiment(signal, snr_in, count, config.grid, config.policy,
+                       config.snr_trials, (config.snr_seed, row_index), config.recover)
+        for row_index, (snr_in, count) in enumerate(rows)
     ]
-
-    def run_row(row):
-        row_index, snr_in, count = row
-        return snr_experiment(signal, snr_in, count, config.grid, config.policy,
-                              config.snr_trials, (config.snr_seed, row_index),
-                              config.recover)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reports = list(pool.map(run_row, rows))
-    else:
-        reports = [run_row(row) for row in rows]
 
     files = []
     _write(files, out_dir, "snr_table.csv", csvio.write_snr_table_csv, reports)
@@ -247,16 +232,12 @@ def _run_snr_table(config: ExperimentConfig, out_dir, threads) -> ExperimentOutc
     return ExperimentOutcome(config.kind, config.label, tuple(summary), tuple(files))
 
 
-def _run_phase_transition(config: ExperimentConfig, out_dir, threads) -> ExperimentOutcome:
-    def run_k(k):
-        return phase_transition((k,), config.pt_counts, config.pt_trials,
-                                config.pt_seed, config.pt_length, config.pt_rates)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run_k, config.pt_components))
-    else:
-        parts = [run_k(k) for k in config.pt_components]
+def _run_phase_transition(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
+    parts = [
+        phase_transition((k,), config.pt_counts, config.pt_trials, config.pt_seed,
+                         config.pt_length, config.pt_rates)
+        for k in config.pt_components
+    ]
     success = np.vstack([part.success for part in parts])
     grid = PhaseTransitionGrid(tuple(config.pt_components), tuple(config.pt_counts),
                                success, config.pt_trials, config.pt_length,
@@ -320,25 +301,29 @@ splot 'phase_transition.csv' skip 1 using 2:1:3 with points pt 5 ps 3 palette ti
 }
 
 
-def run_experiment(config: ExperimentConfig, out_dir, threads: int = 1,
-                   seed=None, plot_script: bool = False) -> ExperimentOutcome:
+def _with_seed(config: ExperimentConfig, seed) -> ExperimentConfig:
+    """``config`` with every seed (sampling, noise, trials) set to ``seed``.
+
+    ``None`` leaves the config unchanged.
+    """
+    if seed is None:
+        return config
+    seed = int(seed)
+    return replace(config, seed=seed, snr_seed=seed, pt_seed=seed,
+                   noise=replace(config.noise, seed=seed))
+
+
+def run_experiment(config: ExperimentConfig, out_dir, seed=None,
+                   plot_script: bool = False) -> ExperimentOutcome:
     """Run one configured experiment, writing artifacts into ``out_dir``.
 
-    ``seed`` overrides every seed in the config (sampling, noise, trials);
-    ``threads`` parallelizes Monte-Carlo rows without changing any output.
+    ``seed`` overrides every seed in the config (sampling, noise, trials).
     """
     if config.kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind {config.kind!r}")
-    if threads < 1:
-        raise ValueError("threads must be positive")
-    if seed is not None:
-        seed = int(seed)
-        config = replace(
-            config, seed=seed, snr_seed=seed, pt_seed=seed,
-            noise=replace(config.noise, seed=seed),
-        )
+    config = _with_seed(config, seed)
     os.makedirs(out_dir, exist_ok=True)
-    outcome = _RUNNERS[config.kind](config, out_dir, threads)
+    outcome = _RUNNERS[config.kind](config, out_dir)
     if plot_script:
         path = os.path.join(out_dir, "plot.gp")
         with open(path, "w") as handle:

@@ -7,7 +7,9 @@ component that is matched globally stays concentrated in every window it
 occupies and the single-window transform degenerates exactly to the full
 transform.  Piecewise signals are recovered window by window: every
 candidate from the rate grid is fitted to the window's measurements and
-the candidate with the smallest residual wins.
+the candidate with the smallest residual wins.  The masked window spectra
+come from the same scatter-FFT estimator as the global transform, one
+batched FFT for every window and grid point.
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ from .recovery import (
     ThresholdPolicy,
     _detect_bins,
     _energy,
+    _kernel_matrix,
+    _scatter_spectra,
+    _solve_amplitudes,
 )
-from .transform import KernelParams, _dft_matrix, kernel_values_at
+from .transform import KernelParams, kernel_values_at
 
 __all__ = [
     "LpftSpectrogram",
@@ -91,13 +96,17 @@ def lpft(samples, params: KernelParams, window: int, index_origin=0) -> LpftSpec
     positions = np.arange(index_origin, index_origin + length)
     demod = samples * kernel_values_at(params, positions, length)
     n_win = length // window
-    blocks = demod.reshape(n_win, window) @ _dft_matrix(window)
+    blocks = np.fft.fft(demod.reshape(n_win, window), axis=1)
     return LpftSpectrogram(blocks, window, length, index_origin, params,
                            (window,) * n_win)
 
 
 def _window_of(meas: MeasurementSet, window: int) -> np.ndarray:
     return (meas.positions - meas.index_origin) // window
+
+
+def _window_counts(meas: MeasurementSet, window: int) -> np.ndarray:
+    return np.bincount(_window_of(meas, window), minlength=meas.signal_length // window)
 
 
 def lpft_cs_estimate(meas: MeasurementSet, params: KernelParams, window: int) -> LpftSpectrogram:
@@ -109,25 +118,12 @@ def lpft_cs_estimate(meas: MeasurementSet, params: KernelParams, window: int) ->
     """
     length = meas.signal_length
     _check_window(window, length)
-    n_win = length // window
     phi = kernel_values_at(params, meas.positions, length)
-    weighted = meas.values * phi
-    owner = _window_of(meas, window)
-    local = (meas.positions - meas.index_origin) % window
-    k = np.arange(window, dtype=np.float64)
-    blocks = np.zeros((n_win, window), dtype=np.complex128)
-    counts = []
-    empty = []
-    for b in range(n_win):
-        sel = np.flatnonzero(owner == b)
-        counts.append(sel.size)
-        if sel.size == 0:
-            empty.append(b)
-            continue
-        basis = np.exp(-2j * np.pi / window * np.outer(k, local[sel].astype(np.float64)))
-        blocks[b] = (window / sel.size) * (basis @ weighted[sel])
+    blocks = _scatter_spectra(meas, (meas.values * phi)[:, None], window)[:, :, 0]
+    counts = _window_counts(meas, window)
     return LpftSpectrogram(blocks, window, length, meas.index_origin, params,
-                           tuple(counts), tuple(empty))
+                           tuple(int(c) for c in counts),
+                           tuple(int(b) for b in np.flatnonzero(counts == 0)))
 
 
 @dataclass(frozen=True)
@@ -151,21 +147,29 @@ def lpft_sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,
     matched anywhere accumulates over every window it occupies, so piecewise
     constant rates still stand out against per-window clutter.
     """
+    return _sweep(meas, grid, window, policy)[0]
+
+
+def _sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,
+           policy: ThresholdPolicy):
+    """:func:`lpft_sweep` records plus the (n_windows, W, G) spectrum magnitudes."""
+    _check_window(window, meas.signal_length)
+    points = grid.points()
+    kernels = _kernel_matrix(meas, points)
+    mags = np.abs(_scatter_spectra(meas, meas.values[:, None] * kernels, window))
+    occupied = np.flatnonzero(_window_counts(meas, window))
     out = []
-    for point in grid.points():
-        spect = lpft_cs_estimate(meas, point.kernel_params, window)
-        mags = spect.magnitude()
+    for point in points:
         projection = np.zeros(window, dtype=np.float64)
-        for b in range(spect.n_windows):
-            if spect.counts[b] == 0:
-                continue
-            for k in _detect_bins(mags[b], policy):
-                projection[k] += mags[b, k]
+        for b in occupied:
+            column = mags[b, :, point.index]
+            for k in _detect_bins(column, policy):
+                projection[k] += column[k]
         peak = int(np.argmax(projection))
         score = float(projection[peak])
         out.append(LpftSweepPoint(point.index, point.coeffs, point.kernel_params,
                                   score, peak if score > 0 else None))
-    return out
+    return out, mags
 
 
 @dataclass(frozen=True)
@@ -183,42 +187,35 @@ class WindowAssignment:
 
 @dataclass(frozen=True, eq=False)
 class LpftRecoveryResult:
-    """Per-window assignments plus the stitched full-length reconstruction."""
+    """Per-window assignments, the stitched reconstruction, and the sweep."""
 
     assignments: tuple
     reconstructed: np.ndarray
     unassigned_windows: tuple
+    sweep: tuple
 
     @property
     def n_windows(self) -> int:
         return len(self.assignments)
 
 
-def _window_fit(values, positions, start, window, length, params, bins):
-    """Least-squares amplitudes of window atoms at the measured positions.
+def _window_atoms(positions, start, window, length, params, bins) -> np.ndarray:
+    """Atom ``i`` is ``conj(phi(m)) * exp(2j pi k_i (m - start)/W)`` at ``positions``.
 
-    Atom ``i`` is ``conj(phi(m)) * exp(2j pi k_i (m - start)/W)``: undoing
-    the demodulation turns a fitted local bin back into signal samples.
+    Undoing the demodulation turns a fitted local bin back into signal samples.
     """
     local = (positions - start).astype(np.float64)
     inv = np.conj(kernel_values_at(params, positions, length))
-    atoms = np.stack(
+    return np.stack(
         [inv * np.exp(2j * np.pi * k * local / window) for k in bins], axis=1
     )
-    n, k = atoms.shape
-    if n < k:
-        raise RankDeficiencyError(
-            f"{k} window atoms from {n} measurements: system is underdetermined"
-        )
-    gram = atoms.conj().T @ atoms
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > 1e12:
-        raise RankDeficiencyError(
-            f"window fit condition number {cond:.3e} exceeds 1e+12"
-        )
-    amps = np.linalg.solve(gram, atoms.conj().T @ values)
-    residual = values - atoms @ amps
-    return amps, _energy(residual) / _energy(values)
+
+
+def _window_fit(values, positions, start, window, length, params, bins):
+    """Least-squares window-atom amplitudes and the relative residual energy."""
+    atoms = _window_atoms(positions, start, window, length, params, bins)
+    amps = _solve_amplitudes(atoms, values)
+    return amps, _energy(values - atoms @ amps) / _energy(values)
 
 
 def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
@@ -232,61 +229,47 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
     window measurements are fitted, and the candidate with the smallest
     relative residual is assigned; earlier grid points win ties.  Windows
     with no measurements or no fitting candidate reconstruct as zeros and
-    are listed in ``unassigned_windows``.
+    are listed in ``unassigned_windows``.  The result carries the
+    :func:`lpft_sweep` records in ``sweep``.
     """
     length = meas.signal_length
-    _check_window(window, length)
-    n_win = length // window
-    candidates = [p for p in lpft_sweep(meas, grid, window, policy) if p.score > 0]
-    spectra = {
-        c.index: lpft_cs_estimate(meas, KernelParams(c.params.higher_coeffs), window)
-        for c in candidates
-    }
+    records, mags = _sweep(meas, grid, window, policy)
+    candidates = [p for p in records if p.score > 0]
     owner = _window_of(meas, window)
-    points = {p.index: p for p in grid.points()}
 
     assignments = []
     unassigned = []
     reconstructed = np.zeros(length, dtype=np.complex128)
-    for b in range(n_win):
+    for b in range(length // window):
         start = meas.index_origin + b * window
         sel = np.flatnonzero(owner == b)
-        if sel.size == 0 or not candidates:
-            assignments.append(WindowAssignment(b, start, None, None, (), (), None))
-            unassigned.append(b)
-            continue
-        cap = max_bins_per_window
-        if cap is None:
-            cap = max(1, sel.size // 2 - 1)
         best = None
-        for cand in candidates:
-            spect = spectra[cand.index]
-            bins = _detect_bins(np.abs(spect.blocks[b]), policy, cap)
-            if not bins:
-                continue
-            try:
-                amps, ratio = _window_fit(
-                    meas.values[sel], meas.positions[sel], start, window,
-                    length, cand.params, bins,
-                )
-            except RankDeficiencyError:
-                continue
-            if best is None or ratio < best[0]:
-                best = (ratio, cand.index, tuple(bins), tuple(complex(a) for a in amps))
+        if sel.size:
+            cap = max_bins_per_window
+            if cap is None:
+                cap = max(1, sel.size // 2 - 1)
+            for cand in candidates:
+                bins = _detect_bins(mags[b, :, cand.index], policy, cap)
+                if not bins:
+                    continue
+                try:
+                    amps, ratio = _window_fit(
+                        meas.values[sel], meas.positions[sel], start, window,
+                        length, cand.params, bins,
+                    )
+                except RankDeficiencyError:
+                    continue
+                if best is None or ratio < best[0]:
+                    best = (ratio, cand, tuple(bins), amps)
         if best is None:
             assignments.append(WindowAssignment(b, start, None, None, (), (), None))
             unassigned.append(b)
             continue
-        ratio, grid_index, bins, amps = best
-        params = points[grid_index].kernel_params
-        assignments.append(WindowAssignment(b, start, grid_index, params,
-                                            bins, amps, ratio))
-        positions = np.arange(start, start + window)
-        inv = np.conj(kernel_values_at(params, positions, length))
-        local = np.arange(window, dtype=np.float64)
-        lo = b * window
-        for k, amp in zip(bins, amps):
-            reconstructed[lo:lo + window] += amp * inv * np.exp(
-                2j * np.pi * k * local / window
-            )
-    return LpftRecoveryResult(tuple(assignments), reconstructed, tuple(unassigned))
+        ratio, cand, bins, amps = best
+        assignments.append(WindowAssignment(b, start, cand.index, cand.params, bins,
+                                            tuple(complex(a) for a in amps), ratio))
+        atoms = _window_atoms(np.arange(start, start + window), start, window,
+                              length, cand.params, bins)
+        reconstructed[b * window:(b + 1) * window] = atoms @ amps
+    return LpftRecoveryResult(tuple(assignments), reconstructed, tuple(unassigned),
+                              tuple(records))

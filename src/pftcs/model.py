@@ -156,6 +156,8 @@ class MeasurementSet:
         object.__setattr__(self, "values", val)
         if pos.ndim != 1 or val.ndim != 1 or pos.size != val.size:
             raise ValueError("positions and values must be 1-d and the same size")
+        if not np.all(np.isfinite(val)):
+            raise ValueError("measurement values must be finite")
         if not 1 <= pos.size <= self.signal_length:
             raise ValueError(
                 f"need between 1 and {self.signal_length} measurements, got {pos.size}"

@@ -257,19 +257,29 @@ class RecoveryResult:
     residual_energy_ratio: float | None = None
 
 
-def _scatter_spectra(meas: MeasurementSet, weighted) -> np.ndarray:
-    """Batched partial-sum spectra via zero-filled FFTs.
+def _scatter_spectra(meas: MeasurementSet, weighted, window=None) -> np.ndarray:
+    """Masked per-window spectra of every column, via one zero-filled FFT.
 
     ``weighted`` is (N, G): per grid point, the measurement values already
-    multiplied by that point's kernel.  Returns (M, G) sums
-    ``sum_j weighted[j, g] * exp(-2j*pi*k*q_j/M)``, identical to the direct
-    formula up to rounding.
+    multiplied by that point's kernel.  The length-``M`` index range is cut
+    into ``M // window`` windows (one window of length ``M`` by default);
+    window ``b`` holding ``N_b`` samples gets
+    ``(W/N_b) * sum_{j in b} weighted[j, g] * exp(-2j*pi*k*(q_j - b*W)/W)``,
+    which is unbiased at a matched component's bin.  Windows with no
+    samples are zero.  Returns the (n_windows, W, G) array.
     """
     m_len = meas.signal_length
+    window = m_len if window is None else window
+    n_win = m_len // window
     q = meas.positions - meas.index_origin
     full = np.zeros((m_len, weighted.shape[1]), dtype=np.complex128)
     full[q, :] = weighted
-    return np.fft.fft(full, axis=0)
+    spectra = np.fft.fft(full.reshape(n_win, window, -1), axis=1)
+    # the global estimate runs once per pursuit round; skip its bincount
+    counts = np.bincount(q // window, minlength=n_win) if n_win > 1 else (meas.count,)
+    for b, n_b in enumerate(counts):
+        spectra[b] *= window / max(int(n_b), 1)
+    return spectra
 
 
 def cs_spectral_estimate(meas: MeasurementSet, params: KernelParams) -> Spectrum:
@@ -278,12 +288,8 @@ def cs_spectral_estimate(meas: MeasurementSet, params: KernelParams) -> Spectrum
     ``X(k) = (M/N) * sum_{m in positions} y(m) phi(m) exp(-2j pi k (m-m0)/M)``;
     with full data this is exactly the polynomial Fourier transform.
     """
-    m_len = meas.signal_length
-    phi = kernel_values_at(params, meas.positions, m_len)
-    q = (meas.positions - meas.index_origin).astype(np.float64)
-    k = np.arange(m_len, dtype=np.float64)
-    basis = np.exp(-2j * np.pi / m_len * np.outer(k, q))
-    return Spectrum((m_len / meas.count) * (basis @ (meas.values * phi)))
+    phi = kernel_values_at(params, meas.positions, meas.signal_length)
+    return Spectrum(_scatter_spectra(meas, (meas.values * phi)[:, None])[0, :, 0])
 
 
 def detect_components(est: Spectrum, policy: ThresholdPolicy, max_count=None,
@@ -321,8 +327,7 @@ def _kernel_matrix(meas: MeasurementSet, points) -> np.ndarray:
 
 def _grid_estimates(meas: MeasurementSet, kernels: np.ndarray, values: np.ndarray) -> np.ndarray:
     """(M, G) spectral estimates of ``values`` for every grid point at once."""
-    weighted = values[:, None] * kernels
-    return (meas.signal_length / meas.count) * _scatter_spectra(meas, weighted)
+    return _scatter_spectra(meas, values[:, None] * kernels)[0]
 
 
 def sweep(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy) -> list:

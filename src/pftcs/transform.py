@@ -104,40 +104,25 @@ class Spectrum:
         return np.abs(self.coeffs)
 
 
-def _dft_matrix(length: int) -> np.ndarray:
-    k = np.arange(length)
-    return np.exp(-2j * np.pi / length * np.outer(k, k))
-
-
-def dft(samples, fast=False) -> Spectrum:
-    """Forward DFT of a stored sample vector.
-
-    Direct O(M^2) matrix application by default; ``fast=True`` switches to
-    the FFT, which computes the identical sum.
-    """
+def dft(samples) -> Spectrum:
+    """Forward DFT of a stored sample vector (computed by the FFT)."""
     x = np.asarray(samples, dtype=np.complex128)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("samples must be a non-empty vector")
-    if fast:
-        return Spectrum(np.fft.fft(x))
-    return Spectrum(_dft_matrix(x.size) @ x)
+    return Spectrum(np.fft.fft(x))
 
 
-def idft(spectrum: Spectrum, fast=False) -> np.ndarray:
+def idft(spectrum: Spectrum) -> np.ndarray:
     """Exact inverse of :func:`dft`, returning the stored sample order."""
-    coeffs = spectrum.coeffs
-    m = coeffs.size
-    if fast:
-        return np.fft.ifft(coeffs)
-    return (np.conj(_dft_matrix(m)) @ coeffs) / m
+    return np.fft.ifft(spectrum.coeffs)
 
 
-def pft(samples, params: KernelParams, index_origin=0, fast=False) -> Spectrum:
+def pft(samples, params: KernelParams, index_origin=0) -> Spectrum:
     """Polynomial Fourier transform: DFT of the demodulated samples."""
     x = np.asarray(samples, dtype=np.complex128)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("samples must be a non-empty vector")
     if not params.higher_coeffs:
-        return dft(x, fast=fast)
+        return dft(x)
     kernel = make_kernel(params, x.size, index_origin)
-    return dft(x * kernel.values, fast=fast)
+    return dft(x * kernel.values)

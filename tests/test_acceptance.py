@@ -184,7 +184,7 @@ class TestSnrTable:
         with resources.as_file(ref) as path:
             config = parse_config(path)
         assert config.snr_trials == 1000
-        run_experiment(config, str(tmp_path), threads=4)
+        run_experiment(config, str(tmp_path))
         reports = read_snr_table_csv(tmp_path / "snr_table.csv")
 
         details = []
@@ -239,7 +239,7 @@ class TestStructuralProperties:
     def test_matched_kernel_concentration(self, acceptance):
         comp = PolyPhaseComponent(2.0 - 1.0j, (96.0, 0.0, -512.0))
         samples = synthesize_components([comp], LENGTH, -LENGTH // 2)
-        spec = pft(samples, KernelParams((0.0, -512.0)), -LENGTH // 2, fast=True)
+        spec = pft(samples, KernelParams((0.0, -512.0)), -LENGTH // 2)
         mags = spec.magnitude()
         peak_ok = int(np.argmax(mags)) == 96
         value_ok = abs(mags[96] - LENGTH * abs(comp.amplitude)) <= 1e-9 * LENGTH
@@ -253,10 +253,7 @@ class TestStructuralProperties:
     def test_transform_round_trip(self, acceptance):
         rng = np.random.default_rng(12)
         x = rng.normal(size=256) + 1j * rng.normal(size=256)
-        worst = 0.0
-        for fast in (False, True):
-            back = idft(dft(x, fast=fast), fast=fast)
-            worst = max(worst, float(np.max(np.abs(back - x))))
+        worst = float(np.max(np.abs(idft(dft(x)) - x)))
         acceptance(
             "inverse transform undoes the forward transform (1e-10)",
             worst < 1e-10,
@@ -269,7 +266,7 @@ class TestStructuralProperties:
         meas = MeasurementSet.from_samples(samples, np.arange(128), 128)
         params = KernelParams((-96.0,))
         got = cs_spectral_estimate(meas, params).coeffs
-        want = pft(samples, params, fast=True).coeffs
+        want = pft(samples, params).coeffs
         err = rel_error(got, want)
         acceptance(
             "sparse spectral estimate with every sample kept equals the "

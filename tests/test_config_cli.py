@@ -220,6 +220,11 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="exceeds signal length"):
             parse_config_string(text)
 
+    def test_zero_count_rejected(self):
+        text = TINY_RECOVER.replace("count = 24", "count = 0")
+        with pytest.raises(ConfigError, match=r"\[sampling\] count"):
+            parse_config_string(text)
+
     def test_fraction_out_of_range(self):
         text = TINY_RECOVER.replace("count = 24", "fraction = 1.5")
         with pytest.raises(ConfigError, match="fraction"):
@@ -334,6 +339,12 @@ class TestCliExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_zero_count_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_RECOVER.replace("count = 24", "count = 0"))
+        code = cli.main(["recover", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "[sampling] count" in capsys.readouterr().err
+
     def test_missing_config_file_is_4(self, tmp_path, capsys):
         code = cli.main(["recover", "--config", str(tmp_path / "absent.cfg"),
                          "--out", str(tmp_path / "o")])
@@ -427,16 +438,6 @@ class TestCliDeterminism:
                          "--seed", "99"]) == 0
         assert ((base / "measurements.csv").read_bytes()
                 != (moved / "measurements.csv").read_bytes())
-
-    def test_threads_do_not_change_snr_table(self, tmp_path):
-        cfg = write_config(tmp_path, TINY_SNR)
-        serial = tmp_path / "serial"
-        threaded = tmp_path / "threaded"
-        assert cli.main(["snr-table", "--config", cfg, "--out", str(serial)]) == 0
-        assert cli.main(["snr-table", "--config", cfg, "--out", str(threaded),
-                         "--threads", "4"]) == 0
-        assert ((serial / "snr_table.csv").read_bytes()
-                == (threaded / "snr_table.csv").read_bytes())
 
 
 if __name__ == "__main__":

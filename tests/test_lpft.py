@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pftcs import (
     KernelParams,
@@ -10,6 +12,7 @@ from pftcs import (
     PolyPhaseComponent,
     ThresholdPolicy,
     cs_spectral_estimate,
+    kernel_values_at,
     lpft,
     lpft_cs_estimate,
     lpft_recover,
@@ -18,6 +21,7 @@ from pftcs import (
     synthesize_components,
 )
 from pftcs.lpft import _window_fit
+from pftcs.recovery import _scatter_spectra
 
 
 def piecewise_signal(length=256, window=32, origin=-128):
@@ -38,6 +42,89 @@ def per_window_mask(length, window, count, origin, seed):
         local.sort()
         chunks.append(local.astype(np.int64) + origin + b * window)
     return np.concatenate(chunks)
+
+
+def dense_window_spectra(meas, weighted, window):
+    """Per-window dense sums: the oracle for the scatter-FFT window spectra.
+
+    Window ``b`` with ``N_b`` samples gets
+    ``(W/N_b) * sum_j weighted[j] * exp(-2j pi k (q_j - b W)/W)``; empty
+    windows stay zero.
+    """
+    n_win = meas.signal_length // window
+    q = meas.positions - meas.index_origin
+    owner, local = q // window, (q % window).astype(np.float64)
+    k = np.arange(window, dtype=np.float64)
+    out = np.zeros((n_win, window, weighted.shape[1]), dtype=np.complex128)
+    for b in range(n_win):
+        sel = np.flatnonzero(owner == b)
+        if sel.size:
+            basis = np.exp(-2j * np.pi / window * np.outer(k, local[sel]))
+            out[b] = (window / sel.size) * (basis @ weighted[sel])
+    return out
+
+
+@st.composite
+def masked_cases(draw):
+    """A measurement set whose mask leaves at least one window empty."""
+    window = draw(st.integers(2, 12))
+    n_win = draw(st.integers(1, 6))
+    length = window * n_win
+    keep = draw(st.lists(st.booleans(), min_size=length, max_size=length))
+    if n_win > 1:
+        empty = draw(st.integers(0, n_win - 1))
+        keep[empty * window:(empty + 1) * window] = [False] * window
+        filled = (empty + 1) % n_win
+    else:
+        filled = 0
+    keep[filled * window] = True
+    origin = draw(st.sampled_from([0, -(length // 2)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = np.flatnonzero(keep) + origin
+    values = rng.normal(size=positions.size) + 1j * rng.normal(size=positions.size)
+    meas = MeasurementSet(positions, values, length, origin)
+    columns = draw(st.integers(1, 4))
+    weighted = (rng.normal(size=(positions.size, columns))
+                + 1j * rng.normal(size=(positions.size, columns)))
+    rate = draw(st.floats(-64.0, 64.0, allow_nan=False))
+    return meas, window, weighted, KernelParams((rate,))
+
+
+class TestOneEstimator:
+    """The scatter-FFT estimator agrees with the dense per-window sum."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_cases())
+    def test_scatter_spectra_match_dense_sum(self, case):
+        meas, window, weighted, _ = case
+        want = dense_window_spectra(meas, weighted, window)
+        got = _scatter_spectra(meas, weighted, window)
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-12 * max(1.0, np.max(np.abs(want))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_cases())
+    def test_lpft_cs_estimate_matches_dense_sum(self, case):
+        meas, window, _, params = case
+        phi = kernel_values_at(params, meas.positions, meas.signal_length)
+        want = dense_window_spectra(meas, (meas.values * phi)[:, None], window)[:, :, 0]
+        spect = lpft_cs_estimate(meas, params, window)
+        np.testing.assert_allclose(spect.blocks, want, rtol=0,
+                                   atol=1e-12 * max(1.0, np.max(np.abs(want))))
+        owner = (meas.positions - meas.index_origin) // window
+        counts = tuple(int(np.sum(owner == b)) for b in range(spect.n_windows))
+        assert spect.counts == counts
+        assert spect.empty_windows == tuple(b for b, c in enumerate(counts) if c == 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(masked_cases())
+    def test_window_of_full_length_is_global_estimate(self, case):
+        meas, _, _, params = case
+        global_est = cs_spectral_estimate(meas, params).coeffs
+        windowed = lpft_cs_estimate(meas, params, meas.signal_length)
+        np.testing.assert_allclose(windowed.blocks[0], global_est, rtol=0,
+                                   atol=1e-12 * max(1.0, np.max(np.abs(global_est))))
 
 
 class TestLpft:
@@ -143,6 +230,17 @@ class TestLpftSweep:
         assert top_rates == {32.0, 56.0}
         assert ranked[0].score > ranked[2].score
 
+    def test_recover_returns_its_sweep(self):
+        x, *_ = piecewise_signal()
+        length, window, origin = 256, 32, -128
+        positions = per_window_mask(length, window, 16, origin, seed=3)
+        meas = MeasurementSet.from_samples(x, positions, length, origin)
+        grid = ParameterGrid.single(2, tuple(float(v) for v in range(0, 65, 8)))
+        policy = ThresholdPolicy.relative(0.5)
+        points = lpft_sweep(meas, grid, window, policy)
+        result = lpft_recover(meas, grid, window, policy)
+        assert result.sweep == tuple(points)
+
     def test_score_zero_means_no_bin(self):
         meas = MeasurementSet(np.arange(8), np.zeros(8, dtype=np.complex128), 32)
         grid = ParameterGrid.single(2, (0.0, 8.0))
@@ -176,8 +274,6 @@ class TestWindowFitBlockStructure:
         sel = np.flatnonzero(rows)
         n_rows = sel.size
         joint = np.zeros((n_rows, 2 * len(bins_per_window)), dtype=np.complex128)
-        from pftcs import kernel_values_at
-
         for b in range(2):
             block_rows = np.flatnonzero(owner[sel] == b)
             pos = meas.positions[sel][block_rows]
@@ -194,9 +290,16 @@ class TestWindowFitBlockStructure:
     def test_underdetermined_window_raises(self):
         from pftcs import RankDeficiencyError
 
-        with pytest.raises(RankDeficiencyError):
-            _window_fit(np.ones(1, dtype=np.complex128), np.array([3]), 0, 8, 32,
-                        KernelParams(), [0, 1])
+        cases = [
+            # fewer measurements than atoms
+            (np.ones(1, dtype=np.complex128), np.array([3]), [0, 1], "underdetermined"),
+            # a duplicate bin repeats an atom, so the Gram matrix is singular
+            (np.ones(4, dtype=np.complex128), np.array([0, 2, 3, 5]), [3, 3],
+             "condition number"),
+        ]
+        for values, positions, bins, reason in cases:
+            with pytest.raises(RankDeficiencyError, match=reason):
+                _window_fit(values, positions, 0, 8, 32, KernelParams(), bins)
 
 
 class TestLpftRecover:

@@ -144,6 +144,11 @@ class TestMeasurementSet:
         with pytest.raises(ValueError):
             MeasurementSet(np.array([0, 1]), np.zeros(3), 8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            MeasurementSet(np.array([0, 1]), np.array([1.0, bad]), 8)
+
 
 class TestSelectMeasurements:
     def test_deterministic_for_seed(self):

@@ -27,6 +27,12 @@ def brute_force_dft(samples):
     return out
 
 
+def dense_dft_matrix(length):
+    """Dense DFT matrix, the O(M^2) oracle for the FFT-based transforms."""
+    k = np.arange(length)
+    return np.exp(-2j * np.pi / length * np.outer(k, k))
+
+
 class TestDft:
     @pytest.mark.parametrize("length", [1, 2, 7, 16])
     def test_matches_brute_force(self, length):
@@ -39,23 +45,24 @@ class TestDft:
     def test_fast_equals_direct(self):
         rng = np.random.default_rng(2)
         x = rng.normal(size=64) + 1j * rng.normal(size=64)
-        direct = dft(x).coeffs
-        fast = dft(x, fast=True).coeffs
+        direct = dense_dft_matrix(64) @ x
+        fast = dft(x).coeffs
         np.testing.assert_allclose(fast, direct, atol=1e-9 * np.max(np.abs(direct)))
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_idft_inverts_dft(self, fast):
+    # odd lengths take a different FFT factorization than powers of two
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_idft_inverts_dft(self, odd):
         rng = np.random.default_rng(7)
-        x = rng.normal(size=48) + 1j * rng.normal(size=48)
-        back = idft(dft(x, fast=fast), fast=fast)
+        x = rng.normal(size=48 + odd) + 1j * rng.normal(size=48 + odd)
+        back = idft(dft(x))
         np.testing.assert_allclose(back, x, atol=1e-10)
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_dft_inverts_idft(self, fast):
+    @pytest.mark.parametrize("odd", [False, True])
+    def test_dft_inverts_idft(self, odd):
         rng = np.random.default_rng(8)
-        coeffs = rng.normal(size=32) + 1j * rng.normal(size=32)
+        coeffs = rng.normal(size=32 + odd) + 1j * rng.normal(size=32 + odd)
         spec = Spectrum(coeffs)
-        roundtrip = dft(idft(spec, fast=fast), fast=fast).coeffs
+        roundtrip = dft(idft(spec)).coeffs
         np.testing.assert_allclose(roundtrip, coeffs, atol=1e-10 * np.max(np.abs(coeffs)))
 
     def test_rejects_empty_and_2d(self):
@@ -145,8 +152,8 @@ class TestMatchedConcentration:
         rng = np.random.default_rng(13)
         x = rng.normal(size=64) + 1j * rng.normal(size=64)
         params = KernelParams((-20.0, 4.0))
-        direct = pft(x, params).coeffs
-        fast = pft(x, params, fast=True).coeffs
+        direct = dense_dft_matrix(64) @ (x * kernel_values_at(params, np.arange(64), 64))
+        fast = pft(x, params).coeffs
         np.testing.assert_allclose(fast, direct, atol=1e-9 * np.max(np.abs(direct)))
 
 
