@@ -143,9 +143,9 @@ def _component_from(section: _Section) -> PolyPhaseComponent:
         raise ConfigError(f"[{section.name}] {exc}") from None
 
 
-def _numbered_sections(parser, prefix):
+def _numbered_sections(sections, prefix):
     found = []
-    for name in parser.sections():
+    for name in sections:
         if name == prefix or name.startswith(prefix + "."):
             suffix = name[len(prefix) + 1:] if name != prefix else "1"
             try:
@@ -217,9 +217,6 @@ def _parse_recover(section: _Section) -> RecoverConfig:
     try:
         return RecoverConfig(
             max_components=section.get_int("max_components"),
-            max_bins_per_point=section.get_int("max_bins_per_point"),
-            per_round=section.get_int("per_round"),
-            prune_ratio=section.get_float("prune_ratio", default=1e-8),
             pursuit=section.get_str("pursuit", default="threshold",
                                     choices=("threshold", "exact")),
         )
@@ -246,26 +243,30 @@ def parse_config(path) -> ExperimentConfig:
     return _build(parser)
 
 
-def _section(parser, name) -> _Section | None:
-    if not parser.has_section(name):
-        return None
-    return _Section(name, parser[name])
-
-
-def _require(parser, name) -> _Section:
-    section = _section(parser, name)
+def _require(sections, name) -> _Section:
+    section = sections.get(name)
     if section is None:
         raise ConfigError(f"missing required section [{name}]")
     return section
 
 
 def _build(parser) -> ExperimentConfig:
-    experiment = _require(parser, "experiment")
+    """Parse the experiment, then reject unread keys in every section it read."""
+    sections = {name: _Section(name, parser[name]) for name in parser.sections()}
+    config = _read(sections)
+    for section in sections.values():
+        if section.seen:
+            section.reject_unknown()
+    return config
+
+
+def _read(sections) -> ExperimentConfig:
+    experiment = _require(sections, "experiment")
     kind = experiment.get_str("kind", required=True, choices=KINDS)
     label = experiment.get_str("label", default="")
 
     if kind == "phase-transition":
-        pt = _require(parser, "phase_transition")
+        pt = _require(sections, "phase_transition")
         config = ExperimentConfig(
             kind=kind, label=label,
             pt_length=pt.get_int("length", default=128),
@@ -284,7 +285,7 @@ def _build(parser) -> ExperimentConfig:
                 )
         return config
 
-    signal = _require(parser, "signal")
+    signal = _require(sections, "signal")
     length = signal.get_int("length", required=True)
     if length < 2:
         raise ConfigError("[signal] length must be at least 2")
@@ -292,10 +293,10 @@ def _build(parser) -> ExperimentConfig:
 
     components = []
     pieces = []
-    for name in _numbered_sections(parser, "component"):
-        components.append(_component_from(_Section(name, parser[name])))
-    for name in _numbered_sections(parser, "piece"):
-        section = _Section(name, parser[name])
+    for name in _numbered_sections(sections, "component"):
+        components.append(_component_from(sections[name]))
+    for name in _numbered_sections(sections, "piece"):
+        section = sections[name]
         component = _component_from(section)
         start = section.get_int("start", required=True)
         stop = section.get_int("stop", required=True)
@@ -318,16 +319,16 @@ def _build(parser) -> ExperimentConfig:
                 f"pieces must end at {origin + length}, last piece stops at {expected}"
             )
 
-    grid_section = _section(parser, "grid")
+    grid_section = sections.get("grid")
     grid = _parse_grid(grid_section) if grid_section is not None else None
-    policy_section = _section(parser, "policy")
+    policy_section = sections.get("policy")
     policy = _parse_policy(policy_section) if policy_section is not None else None
-    noise_section = _section(parser, "noise")
+    noise_section = sections.get("noise")
     noise = _parse_noise(noise_section) if noise_section is not None else NoiseSpec()
-    recover_section = _section(parser, "recover")
+    recover_section = sections.get("recover")
     recover_cfg = _parse_recover(recover_section) if recover_section is not None else RecoverConfig()
 
-    sampling = _section(parser, "sampling")
+    sampling = sections.get("sampling")
     count = fraction = None
     per_window = False
     seed = 0
@@ -346,9 +347,13 @@ def _build(parser) -> ExperimentConfig:
             )
         if fraction is not None and not 0.0 < fraction <= 1.0:
             raise ConfigError(f"[sampling] fraction must be in (0, 1], got {fraction}")
+        if fraction is not None and round(fraction * length) < 1:
+            raise ConfigError(
+                f"[sampling] fraction {fraction} of length {length} rounds to 0 measurements"
+            )
 
     window = None
-    lpft_section = _section(parser, "lpft")
+    lpft_section = sections.get("lpft")
     if lpft_section is not None:
         window = lpft_section.get_int("window", required=True)
         if window < 2 or length % window != 0:
@@ -358,7 +363,7 @@ def _build(parser) -> ExperimentConfig:
 
     snr_in = counts = ()
     snr_trials = snr_seed = 0
-    snr_section = _section(parser, "snr_table")
+    snr_section = sections.get("snr_table")
     if snr_section is not None:
         snr_in = snr_section.get_floats("snr_in_db", required=True)
         counts = snr_section.get_ints("counts", required=True)
@@ -410,3 +415,10 @@ def _check_kind(config: ExperimentConfig):
             raise ConfigError("snr-table needs [grid] and [policy] sections")
         if config.snr_trials < 1:
             raise ConfigError("[snr_table] trials must be positive")
+        # the Monte-Carlo signal model supports only these two index origins
+        centered = -(config.signal_length // 2)
+        if config.index_origin not in (0, centered):
+            raise ConfigError(
+                f"[signal] origin: snr-table needs 'zero' or 'centered' (0 or {centered}), "
+                f"got {config.index_origin}"
+            )

@@ -219,13 +219,13 @@ def _window_fit(values, positions, start, window, length, params, bins):
 
 
 def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
-                 policy: ThresholdPolicy, max_bins_per_window=None) -> LpftRecoveryResult:
+                 policy: ThresholdPolicy) -> LpftRecoveryResult:
     """Window-by-window recovery of a piecewise polynomial-phase signal.
 
     Candidates are the grid points whose sweep score is positive.  For each
     window, every candidate is tried: bins are detected from that
-    candidate's masked window spectrum (capped at ``max(1, N_b // 2 - 1)``
-    unless overridden, leaving residual headroom for the comparison), the
+    candidate's masked window spectrum (capped at ``max(1, N_b // 2 - 1)``,
+    leaving residual headroom for the comparison), the
     window measurements are fitted, and the candidate with the smallest
     relative residual is assigned; earlier grid points win ties.  Windows
     with no measurements or no fitting candidate reconstruct as zeros and
@@ -245,9 +245,7 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
         sel = np.flatnonzero(owner == b)
         best = None
         if sel.size:
-            cap = max_bins_per_window
-            if cap is None:
-                cap = max(1, sel.size // 2 - 1)
+            cap = max(1, sel.size // 2 - 1)
             for cand in candidates:
                 bins = _detect_bins(mags[b, :, cand.index], policy, cap)
                 if not bins:

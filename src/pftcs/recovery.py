@@ -43,6 +43,11 @@ __all__ = [
 
 # Condition-number ceiling for the normal equations of the amplitude solve.
 COND_LIMIT = 1e12
+# Support entries whose amplitude is at most this fraction of the strongest
+# are pruned after the pursuit.
+PRUNE_RATIO = 1e-8
+# Measurement residual (relative energy) at which the pursuit stops.
+RESIDUAL_TOL = 1e-24
 # Measurement residual (relative energy) above which a fit is flagged as a
 # possible off-grid component.
 OFFGRID_RESIDUAL = 1e-6
@@ -216,21 +221,13 @@ class RecoverConfig:
 
     ``max_components`` caps the support (default ``max(1, N-1)``, which keeps
     a residual degree of freedom so spurious columns can be pruned; a square
-    fit reproduces any measurement vector).  ``per_round`` caps how many
-    candidates one refinement round may admit: unlimited suits confident
-    thresholds that rarely pass clutter, while ``1`` gives the classic
-    greedy pursuit whose mistakes are corrected by later rounds instead of
-    crowding the support.  ``pursuit`` selects between stopping when nothing
-    clears the threshold (``"threshold"``) and pushing single best
-    candidates until the measurement residual is numerically zero
-    (``"exact"``, for noiseless data).
+    fit reproduces any measurement vector).  ``pursuit`` selects between
+    stopping when nothing clears the threshold (``"threshold"``) and pushing
+    single best candidates until the measurement residual is numerically
+    zero (``"exact"``, for noiseless data).
     """
 
     max_components: int | None = None
-    max_bins_per_point: int | None = None
-    per_round: int | None = None
-    prune_ratio: float = 1e-8
-    residual_tol: float = 1e-24
     pursuit: str = "threshold"
 
     def __post_init__(self):
@@ -238,12 +235,6 @@ class RecoverConfig:
             raise ValueError(f"pursuit must be 'threshold' or 'exact', got {self.pursuit!r}")
         if self.max_components is not None and self.max_components < 1:
             raise ValueError("max_components must be positive")
-        if self.max_bins_per_point is not None and self.max_bins_per_point < 1:
-            raise ValueError("max_bins_per_point must be positive")
-        if self.per_round is not None and self.per_round < 1:
-            raise ValueError("per_round must be positive")
-        if not 0.0 <= self.prune_ratio < 1.0:
-            raise ValueError("prune_ratio must be in [0, 1)")
 
 
 @dataclass(frozen=True, eq=False)
@@ -456,12 +447,15 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
             config: RecoverConfig | None = None, reference=None) -> RecoveryResult:
     """Full pipeline: sweep, detect, joint amplitude correction, reconstruct.
 
-    Component discovery iterates: each round detects every bin above the
-    policy threshold across all grid points of the current measurement
-    residual, extends the support, re-solves the joint least squares, and
-    subtracts the fit.  In exact-pursuit mode a round with no threshold
-    survivors admits the single strongest remaining candidate instead, so
-    noiseless on-grid signals are driven to a numerically zero residual.
+    Component discovery is a growth-only pursuit: each round detects every
+    bin above the policy threshold across all grid points of the current
+    measurement residual, extends the support, re-solves the joint least
+    squares, and subtracts the fit; a pass ends when the residual vanishes,
+    the support is full, or nothing is left to admit.  In exact-pursuit mode
+    a round with no threshold survivors admits the single strongest
+    remaining candidate instead, so noiseless on-grid signals are driven to
+    a numerically zero residual, and a pass that misses is retried with one
+    admission per round and then seeded with the best two-atom fit.
     Spurious support entries are pruned by relative amplitude afterwards.
 
     An empty detection yields an empty result, not an error; rank problems
@@ -499,36 +493,37 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
         except RankDeficiencyError:
             return None
 
-    def pursue(per_round, seed=None):
-        """One full pursuit pass; returns (support, amps, residual, ratio)."""
+    def pursue(per_round, seed=()):
+        """One growth-only pass; returns (support, amps, residual, ratio).
+
+        ``per_round`` caps the admissions per round (``None``: every
+        candidate that extends the fit).  Each admission re-solves the joint
+        least squares over a superset of the previous support, so the
+        residual never grows and the last fit is the pass's best.
+        """
         support = []      # [(point_index, bin, raw_magnitude)]
         tried = set()     # every pair ever considered; never considered twice
         amps = np.zeros(0, dtype=np.complex128)
         residual = y.copy()
         residual_ratio = 1.0 if y_energy > 0 else 0.0
-        best = None       # (ratio, support snapshot) of the best fit seen
-        stalls = 0
-        stall_limit = max(8, cap)
-        max_rounds = 8 * cap + 64
 
-        for pi, b, mag in seed or ():
+        for pi, b, mag in seed:
             if len(support) >= cap or (pi, b) in tried:
                 continue
             tried.add((pi, b))
             extended = try_extend(support, (pi, b, mag))
             if extended is not None:
                 support, amps, residual, residual_ratio = extended
-        if support:
-            best = (residual_ratio, list(support))
 
-        for _ in range(max_rounds):
-            if residual_ratio <= cfg.residual_tol:
+        # a round may admit nothing when every candidate is rank-deficient
+        for _ in range(8 * cap + 64):
+            if residual_ratio <= RESIDUAL_TOL or len(support) >= cap:
                 break
             est = _grid_estimates(meas, kernels, residual)
             mags = np.abs(est)
             batch = []
             for point in points:
-                found = _detect_bins(mags[:, point.index], policy, cfg.max_bins_per_point)
+                found = _detect_bins(mags[:, point.index], policy)
                 batch.extend(
                     (float(mags[b, point.index]), point.index, b)
                     for b in found if (point.index, b) not in tried
@@ -543,75 +538,42 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
                         break
             if not batch:
                 break
-            if len(support) < cap:
-                # grow the support with this round's strongest candidates
-                admitted = 0
-                limit = cap - len(support)
-                if per_round is not None:
-                    limit = min(limit, per_round)
-                for mag, pi, b in batch:
-                    if admitted >= limit:
-                        break
-                    tried.add((pi, b))
-                    extended = try_extend(support, (pi, b, mag))
-                    if extended is None:
-                        continue
-                    support, amps, residual, residual_ratio = extended
-                    admitted += 1
-            elif cfg.pursuit == "exact":
-                # at capacity: trial-swap the best new candidate against the
-                # weakest fitted atom, keeping whichever support fits better
-                mag, pi, b = batch[0]
+            # grow the support with this round's strongest candidates
+            admitted = 0
+            limit = cap - len(support)
+            if per_round is not None:
+                limit = min(limit, per_round)
+            for mag, pi, b in batch:
+                if admitted >= limit:
+                    break
                 tried.add((pi, b))
                 extended = try_extend(support, (pi, b, mag))
                 if extended is None:
-                    stalls += 1
-                    if stalls >= stall_limit:
-                        break
                     continue
-                trial, trial_amps = extended[0], extended[1]
-                del trial[int(np.argmin(np.abs(trial_amps)))]
-                previous = residual_ratio
-                amps, residual, residual_ratio = refit(trial)
-                support = trial
-                if residual_ratio > previous * 0.99:
-                    stalls += 1
-                    if stalls >= stall_limit:
-                        break
-                else:
-                    stalls = 0
-            else:
-                break
-            if best is None or residual_ratio < best[0]:
-                best = (residual_ratio, list(support))
-
-        if best is not None and best[0] < residual_ratio:
-            support = best[1]
-            amps, residual, residual_ratio = refit(support)
+                support, amps, residual, residual_ratio = extended
+                admitted += 1
         return support, amps, residual, residual_ratio
 
-    support, amps, residual, residual_ratio = pursue(cfg.per_round)
-    if (cfg.pursuit == "exact" and residual_ratio > cfg.residual_tol
+    support, amps, residual, residual_ratio = pursue(None)
+    if (cfg.pursuit == "exact" and residual_ratio > RESIDUAL_TOL
             and support and cap > 1):
         # restart with the complementary admission style: batch admission
         # keeps true peaks prominent when clutter is dense, one-at-a-time
         # admission avoids crowding when clutter is sparse; a miss under
         # one style is often a hit under the other
-        retry = 1 if cfg.per_round is None else None
-        alt_support, alt_amps, alt_residual, alt_ratio = pursue(retry)
+        alt_support, alt_amps, alt_residual, alt_ratio = pursue(1)
         if alt_ratio < residual_ratio:
             support, amps, residual, residual_ratio = (
                 alt_support, alt_amps, alt_residual, alt_ratio
             )
-    if (cfg.pursuit == "exact" and residual_ratio > cfg.residual_tol
+    if (cfg.pursuit == "exact" and residual_ratio > RESIDUAL_TOL
             and cap >= 3):
         # last resort: seed with the best joint two-atom fit instead of the
         # single strongest cell, which rescues components of similar size
         # that all sit just below the sparse estimate's clutter maximum
         pair = _best_pair(meas, kernels, points, policy)
         if pair is not None:
-            alt_support, alt_amps, alt_residual, alt_ratio = pursue(
-                cfg.per_round, seed=pair)
+            alt_support, alt_amps, alt_residual, alt_ratio = pursue(None, seed=pair)
             if alt_ratio < residual_ratio:
                 support, amps, residual, residual_ratio = (
                     alt_support, alt_amps, alt_residual, alt_ratio
@@ -619,7 +581,7 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
 
     if support:
         scale = float(np.max(np.abs(amps)))
-        keep = [i for i in range(len(support)) if abs(amps[i]) > cfg.prune_ratio * scale]
+        keep = [i for i in range(len(support)) if abs(amps[i]) > PRUNE_RATIO * scale]
         if len(keep) < len(support):
             support = [support[i] for i in keep]
             if support:

@@ -168,15 +168,9 @@ class TestParseHappyPaths:
         assert config.pt_rates == (0.0, 16.0)
 
     def test_recover_section(self):
-        text = TINY_RECOVER + (
-            "\n[recover]\nmax_components = 4\nmax_bins_per_point = 2\n"
-            "per_round = 1\nprune_ratio = 1e-6\npursuit = exact\n"
-        )
+        text = TINY_RECOVER + "\n[recover]\nmax_components = 4\npursuit = exact\n"
         recover = parse_config_string(text).recover
         assert recover.max_components == 4
-        assert recover.max_bins_per_point == 2
-        assert recover.per_round == 1
-        assert recover.prune_ratio == 1e-6
         assert recover.pursuit == "exact"
 
     def test_noise_section(self):
@@ -299,10 +293,65 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="INI syntax error"):
             parse_config_string("not an ini file at all\n")
 
-    def test_per_round_must_be_integer(self):
-        text = TINY_RECOVER + "\n[recover]\nper_round = soon\n"
-        with pytest.raises(ConfigError, match="per_round: expected an integer"):
+    def test_max_components_must_be_integer(self):
+        text = TINY_RECOVER + "\n[recover]\nmax_components = soon\n"
+        with pytest.raises(ConfigError, match="max_components: expected an integer"):
             parse_config_string(text)
+
+    @pytest.mark.parametrize("kind, section, key", [
+        ("recover", "recover", "max_bins_per_point"),
+        ("recover", "recover", "per_round"),
+        ("recover", "recover", "prune_ratio"),
+        ("recover", "recover", "per_rond"),
+        ("recover", "policy", "confidance"),
+        ("recover", "signal", "lenght"),
+        ("recover", "component.1", "coefs"),
+        ("recover", "sampling", "sed"),
+        ("recover", "grid", "stpe"),
+        ("recover", "noise", "snr"),
+        ("lpft", "piece.2", "stopp"),
+        ("lpft", "lpft", "windows"),
+        ("snr", "snr_table", "trails"),
+        ("pt", "experiment", "lable"),
+        ("pt", "phase_transition", "rate"),
+    ])
+    def test_unknown_key_rejected(self, kind, section, key):
+        base = {"recover": TINY_RECOVER, "lpft": TINY_LPFT,
+                "snr": TINY_SNR, "pt": TINY_PT}[kind]
+        header = f"[{section}]\n"
+        if header in base:
+            text = base.replace(header, f"{header}{key} = 1\n")
+        else:
+            text = base + f"\n{header}{key} = 1\n"
+        with pytest.raises(ConfigError, match=rf"\[{section}\] unknown keys: \['{key}'\]"):
+            parse_config_string(text)
+
+    def test_policy_key_of_other_kind_rejected(self):
+        # a ratio under the statistic policy would be silently ignored
+        text = TINY_RECOVER.replace("confidence = 0.999", "confidence = 0.999\nratio = 0.5")
+        with pytest.raises(ConfigError, match=r"\[policy\] unknown keys: \['ratio'\]"):
+            parse_config_string(text)
+
+    def test_fraction_rounding_to_zero_rejected(self):
+        text = TINY_RECOVER.replace("count = 24", "fraction = 0.001")
+        with pytest.raises(ConfigError, match=r"\[sampling\] fraction"):
+            parse_config_string(text)
+
+    def test_smallest_fraction_accepted(self):
+        # round(0.008 * 64) == 1 measurement
+        text = TINY_RECOVER.replace("count = 24", "fraction = 0.008")
+        assert parse_config_string(text).sampling_fraction == 0.008
+
+    @pytest.mark.parametrize("origin", ["5", "-31"])
+    def test_snr_table_origin_rejected(self, origin):
+        text = TINY_SNR.replace("length = 64\n", f"length = 64\norigin = {origin}\n")
+        with pytest.raises(ConfigError, match=r"\[signal\] origin"):
+            parse_config_string(text)
+
+    @pytest.mark.parametrize("origin, expected", [("centered", -32), ("-32", -32)])
+    def test_snr_table_origin_accepted(self, origin, expected):
+        text = TINY_SNR.replace("length = 64\n", f"length = 64\norigin = {origin}\n")
+        assert parse_config_string(text).index_origin == expected
 
 
 class TestBundledConfigs:
@@ -344,6 +393,28 @@ class TestCliExitCodes:
         code = cli.main(["recover", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "[sampling] count" in capsys.readouterr().err
+
+    def test_unknown_key_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_RECOVER.replace("confidence = 0.999",
+                                                          "confidance = 0.5"))
+        code = cli.main(["recover", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "[policy] unknown keys: ['confidance']" in capsys.readouterr().err
+
+    def test_zero_fraction_count_is_2(self, tmp_path, capsys):
+        text = TINY_RECOVER.replace("length = 64", "length = 1024").replace(
+            "count = 24", "fraction = 0.0001")
+        cfg = write_config(tmp_path, text)
+        code = cli.main(["recover", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "[sampling] fraction" in capsys.readouterr().err
+
+    def test_snr_table_bad_origin_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_SNR.replace("length = 64\n",
+                                                      "length = 64\norigin = 5\n"))
+        code = cli.main(["snr-table", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "[signal] origin" in capsys.readouterr().err
 
     def test_missing_config_file_is_4(self, tmp_path, capsys):
         code = cli.main(["recover", "--config", str(tmp_path / "absent.cfg"),

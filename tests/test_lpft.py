@@ -342,9 +342,3 @@ class TestLpftRecover:
         grid = ParameterGrid.single(2, (0.0, 8.0))
         result = lpft_recover(meas, grid, 32, ThresholdPolicy.relative(0.9))
         assert result.assignments[0].grid_index == 0
-
-    def test_max_bins_override(self):
-        x, meas, grid, window = self.setup_case()
-        result = lpft_recover(meas, grid, window, ThresholdPolicy.relative(0.5),
-                              max_bins_per_window=1)
-        assert all(len(a.bins) <= 1 for a in result.assignments)

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pftcs import (
     DetectedComponent,
@@ -430,10 +432,75 @@ class TestRecover:
             RecoverConfig(pursuit="greedy")
         with pytest.raises(ValueError):
             RecoverConfig(max_components=0)
-        with pytest.raises(ValueError):
-            RecoverConfig(per_round=0)
-        with pytest.raises(ValueError):
-            RecoverConfig(prune_ratio=1.0)
+
+
+SCALE_RATES = (0.0, 8.0, 16.0, 24.0)
+
+
+@st.composite
+def scaled_cases(draw):
+    """Noiseless on-grid signal, its mask, and a power-of-two scale factor."""
+    length = draw(st.sampled_from([32, 64]))
+    origin = draw(st.sampled_from([0, -(length // 2)]))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, length - 1), st.sampled_from(SCALE_RATES)),
+        min_size=1, max_size=3, unique=True,
+    ))
+    amps = draw(st.lists(
+        st.complex_numbers(min_magnitude=0.25, max_magnitude=4.0,
+                           allow_nan=False, allow_infinity=False),
+        min_size=len(pairs), max_size=len(pairs),
+    ))
+    comps = [PolyPhaseComponent(a, (float(b), -rate)) for (b, rate), a in zip(pairs, amps)]
+    samples = synthesize_components(comps, length, origin)
+    positions = select_measurements(length, draw(st.integers(4, length)), origin,
+                                    draw(st.integers(0, 2**32 - 1)))
+    meas = MeasurementSet.from_samples(samples, positions, length, origin)
+    factor = 2.0 ** draw(st.integers(-40, 40))
+    scaled = MeasurementSet(meas.positions, factor * meas.values, length, origin)
+    policy = draw(st.sampled_from([ThresholdPolicy.relative(0.5),
+                                   ThresholdPolicy.statistic(0.99)]))
+    return meas, scaled, factor, policy
+
+
+def _recover_or_error(meas, policy, pursuit):
+    try:
+        return recover(meas, ParameterGrid.single(2, SCALE_RATES), policy,
+                       RecoverConfig(pursuit=pursuit))
+    except RankDeficiencyError as exc:
+        return exc
+
+
+class TestScaleInvariance:
+    """Scaling the data by ``c = 2**j`` scales every magnitude, threshold and
+    amplitude exactly, so detection and pursuit decisions cannot change."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(scaled_cases())
+    def test_sweep_peaks_fixed_scores_scale(self, case):
+        meas, scaled, factor, policy = case
+        grid = ParameterGrid.single(2, SCALE_RATES)
+        for a, b in zip(sweep(meas, grid, policy), sweep(scaled, grid, policy)):
+            assert b.peak_bin == a.peak_bin
+            assert b.score == factor * a.score
+
+    @settings(max_examples=40, deadline=None)
+    @given(scaled_cases(), st.sampled_from(["threshold", "exact"]))
+    def test_recover_support_fixed_amplitudes_scale(self, case, pursuit):
+        meas, scaled, factor, policy = case
+        base = _recover_or_error(meas, policy, pursuit)
+        other = _recover_or_error(scaled, policy, pursuit)
+        if isinstance(base, RankDeficiencyError):
+            assert isinstance(other, RankDeficiencyError)
+            return
+        assert [(c.params, c.freq_bin) for c in other.components] == [
+            (c.params, c.freq_bin) for c in base.components
+        ]
+        for a, b in zip(base.components, other.components):
+            assert b.raw_magnitude == factor * a.raw_magnitude
+            assert b.corrected_amplitude == factor * a.corrected_amplitude
+        np.testing.assert_array_equal(other.reconstructed, factor * base.reconstructed)
+        assert other.measurement_residual_ratio == base.measurement_residual_ratio
 
 
 class TestBestPair:
