@@ -251,12 +251,13 @@ def _require(sections, name) -> _Section:
 
 
 def _build(parser) -> ExperimentConfig:
-    """Parse the experiment, then reject unread keys in every section it read."""
+    """Parse the experiment, then reject unread sections and unread keys."""
     sections = {name: _Section(name, parser[name]) for name in parser.sections()}
     config = _read(sections)
     for section in sections.values():
-        if section.seen:
-            section.reject_unknown()
+        if not section.seen:
+            raise ConfigError(f"[{section.name}] section is not used by {config.kind} experiments")
+        section.reject_unknown()
     return config
 
 
@@ -325,7 +326,7 @@ def _read(sections) -> ExperimentConfig:
     policy = _parse_policy(policy_section) if policy_section is not None else None
     noise_section = sections.get("noise")
     noise = _parse_noise(noise_section) if noise_section is not None else NoiseSpec()
-    recover_section = sections.get("recover")
+    recover_section = sections.get("recover") if kind in ("sweep-recover", "snr-table") else None
     recover_cfg = _parse_recover(recover_section) if recover_section is not None else RecoverConfig()
 
     sampling = sections.get("sampling")

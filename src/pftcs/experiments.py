@@ -23,7 +23,7 @@ from .model import (
     select_measurements,
     synthesize,
 )
-from .recovery import cs_spectral_estimate, recover, sweep
+from .recovery import cs_spectral_estimate, recover
 
 __all__ = ["ExperimentOutcome", "run_experiment", "synthesize_config_signal"]
 
@@ -109,8 +109,8 @@ def _run_sweep_recover(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
     clean = synthesize_config_signal(config)
     samples, achieved = apply_noise(clean, config.noise)
     meas = _measure(config, samples)
-    points = sweep(meas, config.grid, config.policy)
     result = recover(meas, config.grid, config.policy, config.recover, reference=clean)
+    points = result.sweep
 
     files = []
     orders = [order for order, _ in config.grid.orders]

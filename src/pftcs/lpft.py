@@ -157,16 +157,14 @@ def _sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,
     points = grid.points()
     kernels = _kernel_matrix(meas, points)
     mags = np.abs(_scatter_spectra(meas, meas.values[:, None] * kernels, window))
-    occupied = np.flatnonzero(_window_counts(meas, window))
+    # an empty window is all zeros and detects nothing
+    thresholds = policy.column_thresholds(np.moveaxis(mags, 1, 0))[:, None, :]
+    projection = np.where((mags >= thresholds) & (mags > 0.0), mags, 0.0).sum(axis=0)
+    peaks = np.argmax(projection, axis=0)
     out = []
     for point in points:
-        projection = np.zeros(window, dtype=np.float64)
-        for b in occupied:
-            column = mags[b, :, point.index]
-            for k in _detect_bins(column, policy):
-                projection[k] += column[k]
-        peak = int(np.argmax(projection))
-        score = float(projection[peak])
+        peak = int(peaks[point.index])
+        score = float(projection[peak, point.index])
         out.append(LpftSweepPoint(point.index, point.coeffs, point.kernel_params,
                                   score, peak if score > 0 else None))
     return out, mags

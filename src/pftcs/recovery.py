@@ -51,6 +51,9 @@ RESIDUAL_TOL = 1e-24
 # Measurement residual (relative energy) above which a fit is flagged as a
 # possible off-grid component.
 OFFGRID_RESIDUAL = 1e-6
+# Most grid points a ParameterGrid may hold; every sweep round allocates an
+# (M, points) complex estimate.
+MAX_GRID_POINTS = 1 << 16
 
 
 class RankDeficiencyError(RuntimeError):
@@ -111,6 +114,8 @@ class ParameterGrid:
             norm.append((order, values))
         norm.sort()
         object.__setattr__(self, "orders", tuple(norm))
+        if self.n_points > MAX_GRID_POINTS:
+            raise ValueError(f"grid has {self.n_points} points, more than {MAX_GRID_POINTS}")
 
     @classmethod
     def single(cls, degree, values) -> "ParameterGrid":
@@ -120,7 +125,12 @@ class ParameterGrid:
     def from_range(cls, degree, start, stop, step) -> "ParameterGrid":
         if step <= 0:
             raise ValueError("grid step must be positive")
-        count = int(round((stop - start) / step)) + 1
+        steps = (stop - start) / step
+        if not math.isfinite(steps):
+            raise ValueError("grid range must be finite")
+        count = int(round(steps)) + 1
+        if count > MAX_GRID_POINTS:
+            raise ValueError(f"grid range has {count} points, more than {MAX_GRID_POINTS}")
         if count < 1 or start + (count - 1) * step > stop + step * 1e-9:
             raise ValueError("empty grid range")
         return cls.single(degree, tuple(start + i * step for i in range(count)))
@@ -176,12 +186,21 @@ class ThresholdPolicy:
 
     def threshold(self, magnitudes) -> float:
         mags = np.asarray(magnitudes, dtype=np.float64)
-        if mags.size == 0:
-            return 0.0
+        return float(self.column_thresholds(mags[:, None])[0]) if mags.size else 0.0
+
+    def column_thresholds(self, mags: np.ndarray) -> np.ndarray:
+        """Threshold of every column of ``mags``: the rule applied along axis 0."""
         if self.kind == "relative-to-max":
-            return self.ratio * float(mags.max())
-        sigma = float(np.median(mags)) / math.sqrt(2.0 * math.log(2.0))
-        return sigma * math.sqrt(2.0 * math.log(mags.size / (1.0 - self.confidence)))
+            return self.ratio * mags.max(axis=0)
+        sigma = _column_median(mags) / math.sqrt(2.0 * math.log(2.0))
+        return sigma * math.sqrt(2.0 * math.log(mags.shape[0] / (1.0 - self.confidence)))
+
+
+def _column_median(mags: np.ndarray) -> np.ndarray:
+    """``np.median(mags, axis=0)``, bit for bit, from one single-kth partition."""
+    half = mags.shape[0] // 2
+    part = np.partition(mags, half, axis=0)
+    return part[half] if mags.shape[0] % 2 else (part[:half].max(axis=0) + part[half]) / 2
 
 
 @dataclass(frozen=True)
@@ -239,13 +258,14 @@ class RecoverConfig:
 
 @dataclass(frozen=True, eq=False)
 class RecoveryResult:
-    """Detected components plus the reconstructed full-length signal."""
+    """Detected components, the reconstructed signal, and the :func:`sweep`."""
 
     components: tuple
     reconstructed: np.ndarray
     measurement_residual_ratio: float
     offgrid_suspect: bool
     residual_energy_ratio: float | None = None
+    sweep: tuple = ()
 
 
 def _scatter_spectra(meas: MeasurementSet, weighted, window=None) -> np.ndarray:
@@ -299,21 +319,26 @@ def detect_components(est: Spectrum, policy: ThresholdPolicy, max_count=None,
 
 
 def _detect_bins(mags: np.ndarray, policy: ThresholdPolicy, max_count=None) -> list:
-    threshold = policy.threshold(mags)
-    hits = np.flatnonzero((mags >= threshold) & (mags > 0.0))
-    if hits.size == 0:
-        return []
-    order = np.lexsort((hits, -mags[hits]))
-    ranked = [int(hits[i]) for i in order]
-    if max_count is not None:
-        ranked = ranked[:max_count]
-    return ranked
+    column = mags[:, None]
+    bins, _ = _ranked_hits(column, policy.column_thresholds(column))
+    return bins[:max_count].tolist()
+
+
+def _ranked_hits(mags: np.ndarray, thresholds: np.ndarray, exclude=np.False_):
+    """``(bins, columns)`` of the cells at or above their column's threshold,
+    by magnitude descending, then column, then bin; zero cells and cells set
+    in the boolean ``exclude`` never count."""
+    hit = (mags >= thresholds) & (mags > 0.0) & ~exclude
+    bins, cols = np.nonzero(hit)
+    order = np.lexsort((bins, cols, -mags[bins, cols]))
+    return bins[order], cols[order]
 
 
 def _kernel_matrix(meas: MeasurementSet, points) -> np.ndarray:
-    cols = [kernel_values_at(p.kernel_params, meas.positions, meas.signal_length)
-            for p in points]
-    return np.stack(cols, axis=1)
+    """(N, G) kernel samples: column ``g`` is ``kernel_values_at`` of point ``g``."""
+    coeffs = np.array([p.kernel_params.full_coeffs() for p in points]).T
+    cycles = phase_cycles(coeffs, meas.positions[:, None], meas.signal_length)
+    return np.exp(-2j * np.pi * cycles)
 
 
 def _grid_estimates(meas: MeasurementSet, kernels: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -324,19 +349,16 @@ def _grid_estimates(meas: MeasurementSet, kernels: np.ndarray, values: np.ndarra
 def sweep(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy) -> list:
     """Single-pass sweep: per grid point, the top surviving peak (0 if none)."""
     points = grid.points()
-    kernels = _kernel_matrix(meas, points)
-    est = _grid_estimates(meas, kernels, meas.values)
-    out = []
-    for point in points:
-        mags = np.abs(est[:, point.index])
-        found = _detect_bins(mags, policy, max_count=1)
-        if found:
-            out.append(SweepPoint(point.index, point.coeffs, point.kernel_params,
-                                  float(mags[found[0]]), found[0]))
-        else:
-            out.append(SweepPoint(point.index, point.coeffs, point.kernel_params,
-                                  0.0, None))
-    return out
+    mags = np.abs(_grid_estimates(meas, _kernel_matrix(meas, points), meas.values))
+    return _sweep_records(points, mags, policy.column_thresholds(mags))
+
+
+def _sweep_records(points, mags: np.ndarray, thresholds: np.ndarray) -> list:
+    peaks = np.argmax(mags, axis=0)  # ties go to the lower bin
+    top = mags[peaks, np.arange(mags.shape[1])]
+    scores = np.where(top >= thresholds, top, 0.0).tolist()
+    return [SweepPoint(p.index, p.coeffs, p.kernel_params, scores[p.index],
+                       int(peaks[p.index]) if scores[p.index] > 0 else None) for p in points]
 
 
 def _atom_matrix(meas: MeasurementSet, components) -> np.ndarray:
@@ -393,28 +415,21 @@ def _energy(x) -> float:
     return float(np.sum(np.abs(np.asarray(x)) ** 2))
 
 
-def _best_pair(meas: MeasurementSet, kernels: np.ndarray, points, policy,
+def _best_pair(meas: MeasurementSet, points, mags: np.ndarray, thresholds: np.ndarray,
                limit: int = 40):
-    """Strongest two-atom joint fit among policy-passing estimate cells.
+    """Strongest two-atom joint fit among the threshold-passing cells of ``mags``.
 
     Components of comparable strength can all sit below the largest clutter
     value of a sparse estimate, in which case no single-atom greedy start
     recovers them; a joint two-atom fit is far more selective because only
     the true pair drives the residual toward zero.  Returns the best pair as
     ``[(point_index, bin, magnitude), ...]`` or ``None`` when fewer than two
-    candidates pass the policy.  The pool is capped at ``limit`` cells and
-    nearly collinear pairs are skipped.
+    candidates pass.  ``mags`` is the estimate of the measurements.  The pool
+    is capped at ``limit`` cells and nearly collinear pairs are skipped.
     """
-    est = _grid_estimates(meas, kernels, meas.values)
-    mags = np.abs(est)
-    pool = []
-    for point in points:
-        pool.extend(
-            (float(mags[b, point.index]), point.index, b)
-            for b in _detect_bins(mags[:, point.index], policy, None)
-        )
-    pool.sort(key=lambda item: (-item[0], item[1], item[2]))
-    pool = pool[:limit]
+    bins, cols = _ranked_hits(mags, thresholds)
+    pool = [(float(mags[b, pi]), pi, b)
+            for b, pi in zip(bins[:limit].tolist(), cols[:limit].tolist())]
     if len(pool) < 2:
         return None
     pending = [
@@ -459,7 +474,8 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     Spurious support entries are pruned by relative amplitude afterwards.
 
     An empty detection yields an empty result, not an error; rank problems
-    in the amplitude solve propagate as :class:`RankDeficiencyError`.
+    in the amplitude solve propagate as :class:`RankDeficiencyError`.  The
+    result carries the :func:`sweep` records of the measurements in ``sweep``.
     """
     cfg = config or RecoverConfig()
     m_len, n_meas = meas.signal_length, meas.count
@@ -468,6 +484,9 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     y = meas.values
     y_energy = _energy(y)
     cap = cfg.max_components if cfg.max_components is not None else max(1, min(m_len, n_meas - 1))
+    first = np.abs(_grid_estimates(meas, kernels, y))
+    first_thresholds = policy.column_thresholds(first)
+    records = tuple(_sweep_records(points, first, first_thresholds))
 
     def refit(entries):
         pending = [
@@ -502,15 +521,15 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
         residual never grows and the last fit is the pass's best.
         """
         support = []      # [(point_index, bin, raw_magnitude)]
-        tried = set()     # every pair ever considered; never considered twice
+        tried = np.zeros(first.shape, dtype=bool)  # cells never considered twice
         amps = np.zeros(0, dtype=np.complex128)
         residual = y.copy()
         residual_ratio = 1.0 if y_energy > 0 else 0.0
 
         for pi, b, mag in seed:
-            if len(support) >= cap or (pi, b) in tried:
+            if len(support) >= cap or tried[b, pi]:
                 continue
-            tried.add((pi, b))
+            tried[b, pi] = True
             extended = try_extend(support, (pi, b, mag))
             if extended is not None:
                 support, amps, residual, residual_ratio = extended
@@ -519,22 +538,19 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
         for _ in range(8 * cap + 64):
             if residual_ratio <= RESIDUAL_TOL or len(support) >= cap:
                 break
-            est = _grid_estimates(meas, kernels, residual)
-            mags = np.abs(est)
-            batch = []
-            for point in points:
-                found = _detect_bins(mags[:, point.index], policy)
-                batch.extend(
-                    (float(mags[b, point.index]), point.index, b)
-                    for b in found if (point.index, b) not in tried
-                )
-            batch.sort(key=lambda item: (-item[0], item[1], item[2]))
+            if support:
+                mags = np.abs(_grid_estimates(meas, kernels, residual))
+                thresholds = policy.column_thresholds(mags)
+            else:  # the residual is still y
+                mags, thresholds = first, first_thresholds
+            bins, cols = _ranked_hits(mags, thresholds, tried)
+            batch = list(zip(bins.tolist(), cols.tolist()))
             if not batch and cfg.pursuit == "exact":
                 flat = np.argsort(mags, axis=None)[::-1]
                 for flat_idx in flat:
                     b, pi = np.unravel_index(flat_idx, mags.shape)
-                    if mags[b, pi] > 0.0 and (int(pi), int(b)) not in tried:
-                        batch = [(float(mags[b, pi]), int(pi), int(b))]
+                    if mags[b, pi] > 0.0 and not tried[b, pi]:
+                        batch = [(int(b), int(pi))]
                         break
             if not batch:
                 break
@@ -543,11 +559,11 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
             limit = cap - len(support)
             if per_round is not None:
                 limit = min(limit, per_round)
-            for mag, pi, b in batch:
+            for b, pi in batch:
                 if admitted >= limit:
                     break
-                tried.add((pi, b))
-                extended = try_extend(support, (pi, b, mag))
+                tried[b, pi] = True
+                extended = try_extend(support, (pi, b, float(mags[b, pi])))
                 if extended is None:
                     continue
                 support, amps, residual, residual_ratio = extended
@@ -571,7 +587,7 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
         # last resort: seed with the best joint two-atom fit instead of the
         # single strongest cell, which rescues components of similar size
         # that all sit just below the sparse estimate's clutter maximum
-        pair = _best_pair(meas, kernels, points, policy)
+        pair = _best_pair(meas, points, first, first_thresholds)
         if pair is not None:
             alt_support, alt_amps, alt_residual, alt_ratio = pursue(None, seed=pair)
             if alt_ratio < residual_ratio:
@@ -594,7 +610,7 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
             ref = np.asarray(reference, dtype=np.complex128)
             ratio = _energy(ref - reconstructed) / _energy(ref)
         return RecoveryResult((), reconstructed,
-                              1.0 if y_energy > 0 else 0.0, y_energy > 0, ratio)
+                              1.0 if y_energy > 0 else 0.0, y_energy > 0, ratio, records)
 
     order = sorted(range(len(support)),
                    key=lambda i: (-support[i][2], support[i][0], support[i][1]))
@@ -609,4 +625,4 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
         ref = np.asarray(reference, dtype=np.complex128)
         ratio = _energy(ref - reconstructed) / _energy(ref)
     return RecoveryResult(components, reconstructed, residual_ratio,
-                          residual_ratio > OFFGRID_RESIDUAL, ratio)
+                          residual_ratio > OFFGRID_RESIDUAL, ratio, records)

@@ -107,6 +107,8 @@ seed = 2
 rates = 0 16
 """
 
+TINY = {"recover": TINY_RECOVER, "lpft": TINY_LPFT, "snr": TINY_SNR, "pt": TINY_PT}
+
 
 def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -316,14 +318,32 @@ class TestParseErrors:
         ("pt", "phase_transition", "rate"),
     ])
     def test_unknown_key_rejected(self, kind, section, key):
-        base = {"recover": TINY_RECOVER, "lpft": TINY_LPFT,
-                "snr": TINY_SNR, "pt": TINY_PT}[kind]
+        base = TINY[kind]
         header = f"[{section}]\n"
         if header in base:
             text = base.replace(header, f"{header}{key} = 1\n")
         else:
             text = base + f"\n{header}{key} = 1\n"
         with pytest.raises(ConfigError, match=rf"\[{section}\] unknown keys: \['{key}'\]"):
+            parse_config_string(text)
+
+    @pytest.mark.parametrize("kind, section, entry", [
+        ("recover", "noize", "kind = complex-gaussian\nsnr_db = 3"),
+        ("lpft", "recover", "max_components = 1"),
+        ("pt", "noise", "kind = complex-gaussian"),
+        ("pt", "recover", "pursuit = exact"),
+        ("pt", "component.1", "coeffs = 8 -32"),
+        ("snr", "phase_transition", "trials = 2"),
+    ])
+    def test_unread_section_rejected(self, kind, section, entry):
+        # a misspelled or inapplicable section would be silently ignored
+        text = TINY[kind] + f"\n[{section}]\n{entry}\n"
+        with pytest.raises(ConfigError, match=rf"\[{section}\] section is not used"):
+            parse_config_string(text)
+
+    def test_grid_point_count_bounded(self):
+        text = TINY_RECOVER.replace("values = 0 24 32", "start = 0\nstop = 65536\nstep = 1")
+        with pytest.raises(ConfigError, match=r"\[grid\] grid range has 65537 points"):
             parse_config_string(text)
 
     def test_policy_key_of_other_kind_rejected(self):
@@ -400,6 +420,19 @@ class TestCliExitCodes:
         code = cli.main(["recover", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "[policy] unknown keys: ['confidance']" in capsys.readouterr().err
+
+    def test_unread_section_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_RECOVER + "\n[noize]\nkind = complex-gaussian\n")
+        code = cli.main(["recover", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "[noize] section is not used" in capsys.readouterr().err
+
+    def test_grid_too_large_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_RECOVER.replace(
+            "values = 0 24 32", "start = 0\nstop = 65536\nstep = 1"))
+        code = cli.main(["recover", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "[grid] grid range has 65537 points" in capsys.readouterr().err
 
     def test_zero_fraction_count_is_2(self, tmp_path, capsys):
         text = TINY_RECOVER.replace("length = 64", "length = 1024").replace(

@@ -1,9 +1,12 @@
 """Recovery tests: spectral estimate, detection, least squares, pursuit."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from pftcs import (
     DetectedComponent,
@@ -26,7 +29,16 @@ from pftcs import (
     sweep,
     synthesize_components,
 )
-from pftcs.recovery import _best_pair, _detect_bins, _grid_estimates, _kernel_matrix
+from pftcs import recovery
+from pftcs.recovery import (
+    _best_pair,
+    _column_median,
+    _detect_bins,
+    _grid_estimates,
+    _kernel_matrix,
+    _ranked_hits,
+    _sweep_records,
+)
 
 
 def direct_estimate(meas, params):
@@ -174,6 +186,71 @@ class TestDetection:
         assert found[0].phase_coeffs() == (1.0, 7.0)
 
 
+def detect_bins_oracle(column, policy):
+    """Per-column reference detection: threshold and bins, strongest first."""
+    if policy.kind == "relative-to-max":
+        threshold = policy.ratio * float(column.max())
+    else:
+        sigma = float(np.median(column)) / math.sqrt(2.0 * math.log(2.0))
+        threshold = sigma * math.sqrt(2.0 * math.log(column.size / (1.0 - policy.confidence)))
+    hits = np.flatnonzero((column >= threshold) & (column > 0.0))
+    return threshold, sorted(hits.tolist(), key=lambda b: (-column[b], b))
+
+
+# few distinct levels make ties within and across columns common
+LEVELS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 4.0]) | st.floats(0.0, 8.0)
+
+
+@st.composite
+def ranking_cases(draw):
+    """Magnitudes with ties and all-zero columns, an exclude mask, a policy."""
+    shape = (draw(st.integers(1, 33)), draw(st.integers(1, 6)))
+    mags = draw(arrays(np.float64, shape, elements=LEVELS))
+    mags[:, draw(arrays(bool, shape[1:]))] = 0.0
+    exclude = draw(arrays(bool, shape))
+    policy = draw(st.sampled_from([ThresholdPolicy.relative(0.5), ThresholdPolicy.relative(1.0),
+                                   ThresholdPolicy.statistic(0.5),
+                                   ThresholdPolicy.statistic(0.99)]))
+    return mags, exclude, policy
+
+
+class TestArrayDetection:
+    """One threshold pass and one ranking over an (M, G) magnitude matrix
+    against per-column detection."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ranking_cases())
+    def test_matches_per_column_oracle(self, case):
+        mags, exclude, policy = case
+        thresholds = policy.column_thresholds(mags)
+        points = ParameterGrid.single(2, range(mags.shape[1])).points()
+        records = _sweep_records(points, mags, thresholds)
+        expected = []
+        for g in range(mags.shape[1]):
+            threshold, bins = detect_bins_oracle(mags[:, g], policy)
+            assert thresholds[g] == threshold
+            assert _detect_bins(mags[:, g], policy) == bins
+            top = (mags[bins[0], g], bins[0]) if bins else (0.0, None)
+            assert (records[g].score, records[g].peak_bin) == top
+            expected += [(-mags[b, g], g, b) for b in bins if not exclude[b, g]]
+        bins, cols = _ranked_hits(mags, thresholds, exclude)
+        assert list(zip(cols.tolist(), bins.tolist())) == [(g, b) for _, g, b in sorted(expected)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)),
+                  elements=st.floats(-1e300, 1e300) | LEVELS))
+    def test_single_kth_median_is_numpy_median(self, mags):
+        assert _column_median(mags).tobytes() == np.median(mags, axis=0).tobytes()
+
+    def test_kernel_matrix_matches_per_point_kernels(self):
+        meas, _ = chirp_measurements(length=64, count=24, index_origin=-32)
+        grid = ParameterGrid(((2, (-24.0, 0.0, 8.5)), (3, (-3.0, 16.0))))
+        points = grid.points()
+        expected = np.stack([kernel_values_at(p.kernel_params, meas.positions, 64)
+                             for p in points], axis=1)
+        assert _kernel_matrix(meas, points).tobytes() == expected.tobytes()
+
+
 class TestParameterGrid:
     def test_from_range_includes_endpoints(self):
         grid = ParameterGrid.from_range(3, -640.0, 640.0, 32.0)
@@ -201,6 +278,20 @@ class TestParameterGrid:
         assert points[1].values == (0.0, 6.0)
         assert points[5].values == (1.0, 7.0)
         assert [p.index for p in points] == list(range(6))
+
+    def test_point_count_bounded(self, monkeypatch):
+        monkeypatch.setattr(recovery, "MAX_GRID_POINTS", 10)
+        assert ParameterGrid.from_range(2, 0.0, 9.0, 1.0).n_points == 10
+        with pytest.raises(ValueError, match="grid range has 11 points, more than 10"):
+            ParameterGrid.from_range(2, 0.0, 10.0, 1.0)
+        with pytest.raises(ValueError, match="grid has 12 points, more than 10"):
+            ParameterGrid(((2, range(4)), (3, range(3))))
+
+    def test_range_counted_before_it_is_built(self):
+        with pytest.raises(ValueError, match="grid range has 65537 points"):
+            ParameterGrid.from_range(2, 0.0, 65536.0, 1.0)
+        with pytest.raises(ValueError, match="grid range must be finite"):
+            ParameterGrid.from_range(2, 0.0, math.inf, 1.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -313,6 +404,16 @@ class TestSweep:
             for a, b in zip(base, other):
                 assert b.score == pytest.approx(3.0 * a.score, rel=1e-9)
                 assert a.peak_bin == b.peak_bin
+
+    @pytest.mark.parametrize("policy", [ThresholdPolicy.relative(0.5),
+                                        ThresholdPolicy.statistic(0.999)])
+    @pytest.mark.parametrize("scale", [1.0, 0.0])
+    def test_recover_returns_its_sweep(self, policy, scale):
+        meas, _ = chirp_measurements(length=128, count=32, seed=2, coeffs=(20.0, -24.0))
+        meas = MeasurementSet(meas.positions, scale * meas.values,
+                              meas.signal_length, meas.index_origin)
+        result = recover(meas, self.grid(), policy, RecoverConfig(pursuit="exact"))
+        assert result.sweep == tuple(sweep(meas, self.grid(), policy))
 
     def test_no_detection_scores_zero(self):
         meas, _ = chirp_measurements(length=64, count=64, coeffs=(7.0, 16.0))
@@ -503,6 +604,76 @@ class TestScaleInvariance:
         assert other.measurement_residual_ratio == base.measurement_residual_ratio
 
 
+@st.composite
+def shifted_cases(draw):
+    """One noiseless on-grid sample set, its offsets declared from origin 0
+    and from origin -M/2."""
+    length = draw(st.sampled_from([32, 64]))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, length - 1), st.sampled_from(SCALE_RATES)),
+        min_size=1, max_size=3, unique=True,
+    ))
+    amps = draw(st.lists(
+        st.complex_numbers(min_magnitude=0.25, max_magnitude=4.0,
+                           allow_nan=False, allow_infinity=False),
+        min_size=len(pairs), max_size=len(pairs),
+    ))
+    comps = [PolyPhaseComponent(a, (float(b), -rate)) for (b, rate), a in zip(pairs, amps)]
+    samples = synthesize_components(comps, length)
+    offsets = select_measurements(length, draw(st.integers(length // 2, length)), 0,
+                                  draw(st.integers(0, 2**32 - 1)))
+    zero = MeasurementSet.from_samples(samples, offsets, length)
+    centered = MeasurementSet(offsets - length // 2, zero.values, length, -(length // 2))
+    policy = draw(st.sampled_from([ThresholdPolicy.relative(0.5),
+                                   ThresholdPolicy.statistic(0.99)]))
+    return zero, centered, policy
+
+
+class TestOriginShift:
+    """Moving the index origin from 0 to ``-M/2`` multiplies the rate-``v``
+    demodulator by ``exp(-2j*pi*v*q/M)`` times a constant phase, so for integer
+    rates every estimate column rolls by ``-v`` bins and recovery finds the
+    same signal with every bin moved by ``-v``."""
+
+    GRID = ParameterGrid.single(2, SCALE_RATES)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shifted_cases())
+    def test_sweep_columns_roll_by_rate(self, case):
+        zero, centered, policy = case
+        length, rates = zero.signal_length, [int(v) for v in SCALE_RATES]
+        points = self.GRID.points()
+        mags = [np.abs(_grid_estimates(m, _kernel_matrix(m, points), m.values))
+                for m in (zero, centered)]
+        tol = 1e-9 * mags[0].max()
+        for g, v in enumerate(rates):
+            np.testing.assert_allclose(mags[1][:, g], np.roll(mags[0][:, g], -v), atol=tol)
+        for v, a, c in zip(rates, sweep(zero, self.GRID, policy),
+                           sweep(centered, self.GRID, policy)):
+            assert c.score == pytest.approx(a.score, abs=tol)
+            if a.peak_bin is not None:
+                # a tie may take either bin; its magnitude must be the peak's
+                assert mags[0][(c.peak_bin + v) % length, a.index] == pytest.approx(
+                    a.score, abs=tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(shifted_cases())
+    def test_recover_same_signal_bins_moved(self, case):
+        zero, centered, policy = case
+        length = zero.signal_length
+        base, other = (recover(m, self.GRID, policy, RecoverConfig(pursuit="exact"))
+                       for m in (zero, centered))
+        assert (other.measurement_residual_ratio < 1e-20) == (
+            base.measurement_residual_ratio < 1e-20)
+        if base.measurement_residual_ratio >= 1e-20:
+            return
+        moved = {(c.params, (c.freq_bin + c.params.higher_coeffs[0]) % length)
+                 for c in base.components}
+        assert {(c.params, c.freq_bin) for c in other.components} == moved
+        scale = np.abs(base.reconstructed).max()
+        np.testing.assert_allclose(other.reconstructed, base.reconstructed, atol=1e-9 * scale)
+
+
 class TestBestPair:
     def test_finds_true_pair(self):
         length = 64
@@ -515,8 +686,8 @@ class TestBestPair:
         meas = MeasurementSet.from_samples(samples, positions, length)
         grid = ParameterGrid.single(2, (0.0, 16.0, 32.0))
         points = grid.points()
-        kernels = _kernel_matrix(meas, points)
-        pair = _best_pair(meas, kernels, points, ThresholdPolicy.relative(0.3))
+        mags = np.abs(_grid_estimates(meas, _kernel_matrix(meas, points), meas.values))
+        pair = _best_pair(meas, points, mags, ThresholdPolicy.relative(0.3).column_thresholds(mags))
         assert pair is not None
         got = {(points[pi].values[0], b) for pi, b, _ in pair}
         assert got == {(0.0, 10), (32.0, 40)}
@@ -525,9 +696,10 @@ class TestBestPair:
         meas, _ = chirp_measurements(length=32, count=32, coeffs=(5.0,))
         grid = ParameterGrid.single(2, (0.0,))
         points = grid.points()
-        kernels = _kernel_matrix(meas, points)
+        mags = np.abs(_grid_estimates(meas, _kernel_matrix(meas, points), meas.values))
         # ratio 1.0 keeps only the single maximal bin
-        assert _best_pair(meas, kernels, points, ThresholdPolicy.relative(1.0)) is None
+        thresholds = ThresholdPolicy.relative(1.0).column_thresholds(mags)
+        assert _best_pair(meas, points, mags, thresholds) is None
 
 
 class TestReconstruct:
