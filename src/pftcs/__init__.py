@@ -20,7 +20,6 @@ from .experiments import ExperimentOutcome, run_experiment, synthesize_config_si
 from .lpft import (
     LpftRecoveryResult,
     LpftSpectrogram,
-    LpftSweepPoint,
     WindowAssignment,
     lpft,
     lpft_cs_estimate,
@@ -56,13 +55,11 @@ from .recovery import (
     sweep,
 )
 from .transform import (
-    DemodulationKernel,
     KernelParams,
     Spectrum,
     dft,
     idft,
     kernel_values_at,
-    make_kernel,
     pft,
 )
 
@@ -71,7 +68,6 @@ __version__ = "0.1.0"
 __all__ = [
     "COND_LIMIT",
     "ConfigError",
-    "DemodulationKernel",
     "DetectedComponent",
     "ExperimentConfig",
     "ExperimentOutcome",
@@ -79,7 +75,6 @@ __all__ = [
     "KernelParams",
     "LpftRecoveryResult",
     "LpftSpectrogram",
-    "LpftSweepPoint",
     "MeasurementSet",
     "MultiComponentSignal",
     "NoiseSpec",
@@ -106,7 +101,6 @@ __all__ = [
     "lpft_cs_estimate",
     "lpft_recover",
     "lpft_sweep",
-    "make_kernel",
     "parse_config",
     "parse_config_string",
     "pft",

@@ -38,7 +38,7 @@ _COMMAND_KINDS = {
     "snr-table": ("snr-table",),
     "phase-transition": ("phase-transition",),
     "synth": ("sweep-recover", "lpft-recover", "snr-table"),
-    "sample": ("sweep-recover", "lpft-recover", "snr-table"),
+    "sample": ("sweep-recover", "lpft-recover"),
     "sweep": ("sweep-recover", "lpft-recover"),
 }
 

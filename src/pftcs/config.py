@@ -324,12 +324,14 @@ def _read(sections) -> ExperimentConfig:
     grid = _parse_grid(grid_section) if grid_section is not None else None
     policy_section = sections.get("policy")
     policy = _parse_policy(policy_section) if policy_section is not None else None
-    noise_section = sections.get("noise")
+    # snr-table draws its own masks and noise per trial
+    measured = kind in ("sweep-recover", "lpft-recover")
+    noise_section = sections.get("noise") if measured else None
     noise = _parse_noise(noise_section) if noise_section is not None else NoiseSpec()
     recover_section = sections.get("recover") if kind in ("sweep-recover", "snr-table") else None
     recover_cfg = _parse_recover(recover_section) if recover_section is not None else RecoverConfig()
 
-    sampling = sections.get("sampling")
+    sampling = sections.get("sampling") if measured else None
     count = fraction = None
     per_window = False
     seed = 0
@@ -354,7 +356,7 @@ def _read(sections) -> ExperimentConfig:
             )
 
     window = None
-    lpft_section = sections.get("lpft")
+    lpft_section = sections.get("lpft") if measured else None
     if lpft_section is not None:
         window = lpft_section.get_int("window", required=True)
         if window < 2 or length % window != 0:
@@ -364,7 +366,7 @@ def _read(sections) -> ExperimentConfig:
 
     snr_in = counts = ()
     snr_trials = snr_seed = 0
-    snr_section = sections.get("snr_table")
+    snr_section = sections.get("snr_table") if kind == "snr-table" else None
     if snr_section is not None:
         snr_in = snr_section.get_floats("snr_in_db", required=True)
         counts = snr_section.get_ints("counts", required=True)

@@ -6,10 +6,11 @@ full-length kernel over that window's actual sample positions, so a
 component that is matched globally stays concentrated in every window it
 occupies and the single-window transform degenerates exactly to the full
 transform.  Piecewise signals are recovered window by window: every
-candidate from the rate grid is fitted to the window's measurements and
-the candidate with the smallest residual wins.  The masked window spectra
-come from the same scatter-FFT estimator as the global transform, one
-batched FFT for every window and grid point.
+candidate from the rate grid fits the window's demodulated measurements
+with a few local Fourier bins, and the candidate with the smallest
+residual wins.  The masked window spectra come from the same scatter-FFT
+estimator as the global transform, one batched FFT for every window and
+grid point.
 """
 
 from __future__ import annotations
@@ -23,17 +24,17 @@ from .recovery import (
     ParameterGrid,
     RankDeficiencyError,
     ThresholdPolicy,
-    _detect_bins,
-    _energy,
     _kernel_matrix,
+    _ranked_hits,
+    _residual_ratio,
     _scatter_spectra,
     _solve_amplitudes,
+    _sweep_records,
 )
 from .transform import KernelParams, kernel_values_at
 
 __all__ = [
     "LpftSpectrogram",
-    "LpftSweepPoint",
     "WindowAssignment",
     "LpftRecoveryResult",
     "lpft",
@@ -126,17 +127,6 @@ def lpft_cs_estimate(meas: MeasurementSet, params: KernelParams, window: int) ->
                            tuple(int(b) for b in np.flatnonzero(counts == 0)))
 
 
-@dataclass(frozen=True)
-class LpftSweepPoint:
-    """Sweep record: grid point, summed-detection score, and its peak bin."""
-
-    index: int
-    coeffs: tuple
-    params: KernelParams
-    score: float
-    peak_bin: int | None
-
-
 def lpft_sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,
                policy: ThresholdPolicy) -> list:
     """Score each grid point by its cross-window detection projection.
@@ -152,22 +142,17 @@ def lpft_sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,
 
 def _sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,
            policy: ThresholdPolicy):
-    """:func:`lpft_sweep` records plus the (n_windows, W, G) spectrum magnitudes."""
+    """:func:`lpft_sweep` records, the (N, G) demodulated samples, their
+    (n_windows, W, G) spectrum magnitudes and the (n_windows, G) thresholds."""
     _check_window(window, meas.signal_length)
     points = grid.points()
-    kernels = _kernel_matrix(meas, points)
-    mags = np.abs(_scatter_spectra(meas, meas.values[:, None] * kernels, window))
+    weighted = meas.values[:, None] * _kernel_matrix(meas, points)
+    mags = np.abs(_scatter_spectra(meas, weighted, window))
     # an empty window is all zeros and detects nothing
-    thresholds = policy.column_thresholds(np.moveaxis(mags, 1, 0))[:, None, :]
-    projection = np.where((mags >= thresholds) & (mags > 0.0), mags, 0.0).sum(axis=0)
-    peaks = np.argmax(projection, axis=0)
-    out = []
-    for point in points:
-        peak = int(peaks[point.index])
-        score = float(projection[peak, point.index])
-        out.append(LpftSweepPoint(point.index, point.coeffs, point.kernel_params,
-                                  score, peak if score > 0 else None))
-    return out, mags
+    thresholds = policy.column_thresholds(np.moveaxis(mags, 1, 0))
+    hits = (mags >= thresholds[:, None, :]) & (mags > 0.0)
+    projection = np.where(hits, mags, 0.0).sum(axis=0)
+    return _sweep_records(points, projection, 0.0), weighted, mags, thresholds
 
 
 @dataclass(frozen=True)
@@ -197,23 +182,17 @@ class LpftRecoveryResult:
         return len(self.assignments)
 
 
-def _window_atoms(positions, start, window, length, params, bins) -> np.ndarray:
-    """Atom ``i`` is ``conj(phi(m)) * exp(2j pi k_i (m - start)/W)`` at ``positions``.
+def _window_fit(weighted, rows, bins):
+    """Least-squares local Fourier amplitudes and the relative residual energy.
 
-    Undoing the demodulation turns a fitted local bin back into signal samples.
+    ``weighted`` holds a window's demodulated samples and ``rows`` the
+    Fourier-table rows of their offsets into the window.  The kernel has
+    unit modulus, so this is the fit of the raw samples to the atoms
+    ``conj(phi) * exp(2j pi k (m - start)/W)``.
     """
-    local = (positions - start).astype(np.float64)
-    inv = np.conj(kernel_values_at(params, positions, length))
-    return np.stack(
-        [inv * np.exp(2j * np.pi * k * local / window) for k in bins], axis=1
-    )
-
-
-def _window_fit(values, positions, start, window, length, params, bins):
-    """Least-squares window-atom amplitudes and the relative residual energy."""
-    atoms = _window_atoms(positions, start, window, length, params, bins)
-    amps = _solve_amplitudes(atoms, values)
-    return amps, _energy(values - atoms @ amps) / _energy(values)
+    atoms = rows[:, bins]
+    amps = _solve_amplitudes(atoms, weighted)
+    return amps, _residual_ratio(weighted - atoms @ amps, weighted)
 
 
 def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
@@ -221,19 +200,22 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
     """Window-by-window recovery of a piecewise polynomial-phase signal.
 
     Candidates are the grid points whose sweep score is positive.  For each
-    window, every candidate is tried: bins are detected from that
-    candidate's masked window spectrum (capped at ``max(1, N_b // 2 - 1)``,
-    leaving residual headroom for the comparison), the
-    window measurements are fitted, and the candidate with the smallest
-    relative residual is assigned; earlier grid points win ties.  Windows
-    with no measurements or no fitting candidate reconstruct as zeros and
-    are listed in ``unassigned_windows``.  The result carries the
+    window, every candidate is tried on the window's demodulated samples:
+    its bins are the sweep's detections in that window (the sweep
+    thresholds, strongest first, capped at ``max(1, N_b // 2 - 1)`` to
+    leave residual headroom for the comparison), the local Fourier
+    amplitudes are fitted by least squares, and the candidate with the
+    smallest relative residual is assigned; earlier grid points win ties.
+    Windows with no measurements or no fitting candidate reconstruct as
+    zeros and are listed in ``unassigned_windows``.  The result carries the
     :func:`lpft_sweep` records in ``sweep``.
     """
     length = meas.signal_length
-    records, mags = _sweep(meas, grid, window, policy)
-    candidates = [p for p in records if p.score > 0]
+    records, weighted, mags, thresholds = _sweep(meas, grid, window, policy)
+    cands = np.array([p.index for p in records if p.score > 0], dtype=np.intp)
     owner = _window_of(meas, window)
+    offsets = np.arange(window)
+    table = np.exp(2j * np.pi * (np.outer(offsets, offsets) % window) / window)
 
     assignments = []
     unassigned = []
@@ -244,28 +226,27 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
         best = None
         if sel.size:
             cap = max(1, sel.size // 2 - 1)
-            for cand in candidates:
-                bins = _detect_bins(mags[b, :, cand.index], policy, cap)
-                if not bins:
+            rows = table[meas.positions[sel] - start]
+            bins, cols = _ranked_hits(mags[b][:, cands], thresholds[b, cands])
+            for j, g in enumerate(cands.tolist()):
+                chosen = bins[cols == j][:cap]
+                if not chosen.size:
                     continue
                 try:
-                    amps, ratio = _window_fit(
-                        meas.values[sel], meas.positions[sel], start, window,
-                        length, cand.params, bins,
-                    )
+                    amps, ratio = _window_fit(weighted[sel, g], rows, chosen)
                 except RankDeficiencyError:
                     continue
                 if best is None or ratio < best[0]:
-                    best = (ratio, cand, tuple(bins), amps)
+                    best = (ratio, records[g], chosen, amps)
         if best is None:
             assignments.append(WindowAssignment(b, start, None, None, (), (), None))
             unassigned.append(b)
             continue
         ratio, cand, bins, amps = best
-        assignments.append(WindowAssignment(b, start, cand.index, cand.params, bins,
+        assignments.append(WindowAssignment(b, start, cand.index, cand.params,
+                                            tuple(bins.tolist()),
                                             tuple(complex(a) for a in amps), ratio))
-        atoms = _window_atoms(np.arange(start, start + window), start, window,
-                              length, cand.params, bins)
-        reconstructed[b * window:(b + 1) * window] = atoms @ amps
+        inv = np.conj(kernel_values_at(cand.params, start + offsets, length))
+        reconstructed[b * window:(b + 1) * window] = inv * (table[:, bins] @ amps)
     return LpftRecoveryResult(tuple(assignments), reconstructed, tuple(unassigned),
                               tuple(records))

@@ -200,7 +200,11 @@ def _column_median(mags: np.ndarray) -> np.ndarray:
     """``np.median(mags, axis=0)``, bit for bit, from one single-kth partition."""
     half = mags.shape[0] // 2
     part = np.partition(mags, half, axis=0)
-    return part[half] if mags.shape[0] % 2 else (part[:half].max(axis=0) + part[half]) / 2
+    # np.median averages the middle values by a sum that starts at +0.0,
+    # which turns a -0.0 sum into +0.0
+    if mags.shape[0] % 2:
+        return part[half] + 0.0
+    return (part[:half].max(axis=0) + part[half] + 0.0) / 2
 
 
 @dataclass(frozen=True)
@@ -310,18 +314,12 @@ def detect_components(est: Spectrum, policy: ThresholdPolicy, max_count=None,
     Ties in magnitude break toward the lower bin; the list is truncated to
     ``max_count`` when given.  Zero-magnitude bins never count.
     """
-    mags = est.magnitude()
-    found = _detect_bins(mags, policy, max_count)
-    return [
-        DetectedComponent(params, int(b), float(mags[b]))
-        for b in found
-    ]
-
-
-def _detect_bins(mags: np.ndarray, policy: ThresholdPolicy, max_count=None) -> list:
-    column = mags[:, None]
+    column = est.magnitude()[:, None]
     bins, _ = _ranked_hits(column, policy.column_thresholds(column))
-    return bins[:max_count].tolist()
+    return [
+        DetectedComponent(params, b, float(column[b, 0]))
+        for b in bins[:max_count].tolist()
+    ]
 
 
 def _ranked_hits(mags: np.ndarray, thresholds: np.ndarray, exclude=np.False_):
@@ -415,6 +413,16 @@ def _energy(x) -> float:
     return float(np.sum(np.abs(np.asarray(x)) ** 2))
 
 
+def _residual_ratio(left, y) -> float:
+    """``|left|^2 / |y|^2`` with both vectors first divided by ``max|y|``.
+
+    Scaling ``y`` and ``left`` by a power of two then leaves the ratio bit
+    for bit unchanged, even where the residual energy is subnormal.
+    """
+    scale = float(np.max(np.abs(y)))
+    return _energy(left / scale) / _energy(y / scale)
+
+
 def _best_pair(meas: MeasurementSet, points, mags: np.ndarray, thresholds: np.ndarray,
                limit: int = 40):
     """Strongest two-atom joint fit among the threshold-passing cells of ``mags``.
@@ -496,7 +504,7 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
         atoms = _atom_matrix(meas, pending)
         fitted = _solve_amplitudes(atoms, y)
         left = y - atoms @ fitted
-        ratio = _energy(left) / y_energy if y_energy > 0 else 0.0
+        ratio = _residual_ratio(left, y) if y_energy > 0 else 0.0
         return fitted, left, ratio
 
     def try_extend(entries, candidate):

@@ -18,9 +18,7 @@ from .model import phase_cycles
 
 __all__ = [
     "KernelParams",
-    "DemodulationKernel",
     "Spectrum",
-    "make_kernel",
     "kernel_values_at",
     "dft",
     "idft",
@@ -64,29 +62,6 @@ def kernel_values_at(params: KernelParams, positions, length) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class DemodulationKernel:
-    """Kernel samples over one full index range ``[m0, m0 + M)``."""
-
-    params: KernelParams
-    length: int
-    index_origin: int
-    values: np.ndarray
-
-    def inverse_values(self) -> np.ndarray:
-        # unit modulus, so the reciprocal is the conjugate
-        return np.conj(self.values)
-
-
-def make_kernel(params: KernelParams, length, index_origin=0) -> DemodulationKernel:
-    """Build the demodulation kernel on ``[m0, m0 + M)``."""
-    if length <= 0:
-        raise ValueError(f"length must be positive, got {length}")
-    m = np.arange(index_origin, index_origin + length)
-    return DemodulationKernel(params, int(length), int(index_origin),
-                              kernel_values_at(params, m, length))
-
-
-@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Unnormalized forward-DFT coefficients, bins ``0 .. M-1``."""
 
@@ -124,5 +99,5 @@ def pft(samples, params: KernelParams, index_origin=0) -> Spectrum:
         raise ValueError("samples must be a non-empty vector")
     if not params.higher_coeffs:
         return dft(x)
-    kernel = make_kernel(params, x.size, index_origin)
-    return dft(x * kernel.values)
+    m = np.arange(index_origin, index_origin + x.size)
+    return dft(x * kernel_values_at(params, m, x.size))

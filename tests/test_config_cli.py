@@ -334,6 +334,11 @@ class TestParseErrors:
         ("pt", "recover", "pursuit = exact"),
         ("pt", "component.1", "coeffs = 8 -32"),
         ("snr", "phase_transition", "trials = 2"),
+        ("recover", "snr_table", "snr_in_db = 5\ncounts = 8\ntrials = 3"),
+        ("lpft", "snr_table", "snr_in_db = 5\ncounts = 8\ntrials = 3"),
+        ("snr", "noise", "kind = complex-gaussian\nsnr_db = 3"),
+        ("snr", "sampling", "count = 8"),
+        ("snr", "lpft", "window = 8"),
     ])
     def test_unread_section_rejected(self, kind, section, entry):
         # a misspelled or inapplicable section would be silently ignored
@@ -448,6 +453,13 @@ class TestCliExitCodes:
         code = cli.main(["snr-table", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "[signal] origin" in capsys.readouterr().err
+
+    def test_sample_of_snr_table_is_2(self, tmp_path, capsys):
+        # snr-table draws its masks per trial; it has no measurement set to write
+        cfg = write_config(tmp_path, TINY_SNR)
+        code = cli.main(["sample", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "needs an experiment kind" in capsys.readouterr().err
 
     def test_missing_config_file_is_4(self, tmp_path, capsys):
         code = cli.main(["recover", "--config", str(tmp_path / "absent.cfg"),

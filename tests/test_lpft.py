@@ -248,6 +248,11 @@ class TestLpftSweep:
         assert all(p.score == 0.0 and p.peak_bin is None for p in points)
 
 
+def fourier_rows(offsets, window):
+    """Rows ``exp(2j pi k u / W)``, k = 0 .. W-1, at in-window offsets ``u``."""
+    return np.exp(2j * np.pi * np.outer(offsets, np.arange(window)) / window)
+
+
 class TestWindowFitBlockStructure:
     def test_per_window_solves_equal_joint_block_solve(self):
         # the joint system over all windows is block-diagonal, so stacking
@@ -260,13 +265,13 @@ class TestWindowFitBlockStructure:
         owner = (meas.positions - meas.index_origin) // window
         bins_per_window = [2, 3]
 
-        atoms_blocks = []
         joint_amps = []
         for b in range(2):
             sel = np.flatnonzero(owner == b)
-            start = b * window
-            amps, _ = _window_fit(meas.values[sel], meas.positions[sel], start,
-                                  window, 128, params, bins_per_window)
+            pos = meas.positions[sel]
+            demodulated = meas.values[sel] * kernel_values_at(params, pos, 128)
+            amps, _ = _window_fit(demodulated, fourier_rows(pos - b * window, window),
+                                  bins_per_window)
             joint_amps.append(amps)
 
         # independent joint solve on the block-diagonal system
@@ -297,9 +302,62 @@ class TestWindowFitBlockStructure:
             (np.ones(4, dtype=np.complex128), np.array([0, 2, 3, 5]), [3, 3],
              "condition number"),
         ]
-        for values, positions, bins, reason in cases:
+        for values, offsets, bins, reason in cases:
             with pytest.raises(RankDeficiencyError, match=reason):
-                _window_fit(values, positions, 0, 8, 32, KernelParams(), bins)
+                _window_fit(values, fourier_rows(offsets, 8), bins)
+
+
+@st.composite
+def window_recover_cases(draw):
+    """Random data under per-window masks that include empty and 1-sample windows."""
+    window = draw(st.integers(2, 12))
+    n_win = draw(st.integers(1, 5))
+    length = window * n_win
+    origin = draw(st.sampled_from([0, -(length // 2)]))
+    offsets = []
+    for b in range(n_win):
+        count = draw(st.sampled_from([0, 1, window // 2, window]) | st.integers(0, window))
+        local = draw(st.permutations(range(window)))[:count]
+        offsets.extend(b * window + u for u in sorted(local))
+    if not offsets:
+        offsets = [0]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(size=len(offsets)) + 1j * rng.normal(size=len(offsets))
+    meas = MeasurementSet(np.array(offsets) + origin, values, length, origin)
+    rates = draw(st.lists(st.sampled_from([0.0, 4.0, 8.0, 12.5, 16.0]), min_size=1,
+                          max_size=4, unique=True))
+    policy = draw(st.sampled_from([ThresholdPolicy.relative(0.5),
+                                   ThresholdPolicy.statistic(0.9)]))
+    return meas, window, ParameterGrid.single(2, sorted(rates)), policy
+
+
+class TestDemodulatedWindowFit:
+    """Each assigned window holds the candidate's own detections, capped, and
+    the least-squares amplitudes of the undemodulated atoms."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(window_recover_cases())
+    def test_assignments_match_detection_and_atom_fit(self, detect_bins_oracle, case):
+        meas, window, grid, policy = case
+        result = lpft_recover(meas, grid, window, policy)
+        owner = (meas.positions - meas.index_origin) // window
+        for a in result.assignments:
+            sel = np.flatnonzero(owner == a.window_index)
+            if a.grid_index is None:
+                continue
+            mags = lpft_cs_estimate(meas, a.params, window).magnitude()[a.window_index]
+            _, bins = detect_bins_oracle(mags, policy)
+            assert a.bins == tuple(bins[:max(1, sel.size // 2 - 1)])
+            pos = meas.positions[sel]
+            local = (pos - a.start).astype(np.float64)
+            inv = np.conj(kernel_values_at(a.params, pos, meas.signal_length))
+            atoms = np.stack([inv * np.exp(2j * np.pi * k * local / window) for k in a.bins],
+                             axis=1)
+            oracle, *_ = np.linalg.lstsq(atoms, meas.values[sel], rcond=None)
+            np.testing.assert_allclose(np.array(a.amplitudes), oracle, rtol=0,
+                                       atol=1e-12 * np.max(np.abs(oracle)))
+        assert all(result.assignments[b].grid_index is None
+                   for b in range(result.n_windows) if not np.any(owner == b))
 
 
 class TestLpftRecover:

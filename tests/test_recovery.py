@@ -17,6 +17,7 @@ from pftcs import (
     PolyPhaseComponent,
     RankDeficiencyError,
     RecoverConfig,
+    Spectrum,
     ThresholdPolicy,
     amplitude_correction,
     cs_spectral_estimate,
@@ -33,7 +34,6 @@ from pftcs import recovery
 from pftcs.recovery import (
     _best_pair,
     _column_median,
-    _detect_bins,
     _grid_estimates,
     _kernel_matrix,
     _ranked_hits,
@@ -159,24 +159,27 @@ class TestThresholdPolicy:
             ThresholdPolicy.statistic(1.0)
 
 
+def detected_bins(mags, policy, max_count=None):
+    """Bins :func:`detect_components` finds in a spectrum with these magnitudes."""
+    return [c.freq_bin for c in detect_components(Spectrum(mags), policy, max_count)]
+
+
 class TestDetection:
     def test_strongest_first_and_truncation(self):
         mags = np.array([0.0, 5.0, 9.0, 5.0, 1.0])
         policy = ThresholdPolicy.relative(0.5)
-        assert _detect_bins(mags, policy) == [2, 1, 3]
-        assert _detect_bins(mags, policy, max_count=2) == [2, 1]
+        assert detected_bins(mags, policy) == [2, 1, 3]
+        assert detected_bins(mags, policy, max_count=2) == [2, 1]
 
     def test_tie_breaks_to_lower_bin(self):
         mags = np.array([4.0, 0.0, 4.0, 0.0])
-        assert _detect_bins(mags, ThresholdPolicy.relative(1.0)) == [0, 2]
+        assert detected_bins(mags, ThresholdPolicy.relative(1.0)) == [0, 2]
 
     def test_zero_spectrum_detects_nothing(self):
         mags = np.zeros(8)
-        assert _detect_bins(mags, ThresholdPolicy.relative(0.5)) == []
+        assert detected_bins(mags, ThresholdPolicy.relative(0.5)) == []
 
     def test_detect_components_wraps_bins(self):
-        from pftcs import Spectrum
-
         spec = Spectrum(np.array([0.0, 3.0, 0.5, 0.0]))
         found = detect_components(spec, ThresholdPolicy.relative(0.5),
                                   params=KernelParams((7.0,)))
@@ -184,17 +187,6 @@ class TestDetection:
         assert found[0].freq_bin == 1
         assert found[0].raw_magnitude == pytest.approx(3.0)
         assert found[0].phase_coeffs() == (1.0, 7.0)
-
-
-def detect_bins_oracle(column, policy):
-    """Per-column reference detection: threshold and bins, strongest first."""
-    if policy.kind == "relative-to-max":
-        threshold = policy.ratio * float(column.max())
-    else:
-        sigma = float(np.median(column)) / math.sqrt(2.0 * math.log(2.0))
-        threshold = sigma * math.sqrt(2.0 * math.log(column.size / (1.0 - policy.confidence)))
-    hits = np.flatnonzero((column >= threshold) & (column > 0.0))
-    return threshold, sorted(hits.tolist(), key=lambda b: (-column[b], b))
 
 
 # few distinct levels make ties within and across columns common
@@ -220,7 +212,7 @@ class TestArrayDetection:
 
     @settings(max_examples=300, deadline=None)
     @given(ranking_cases())
-    def test_matches_per_column_oracle(self, case):
+    def test_matches_per_column_oracle(self, detect_bins_oracle, case):
         mags, exclude, policy = case
         thresholds = policy.column_thresholds(mags)
         points = ParameterGrid.single(2, range(mags.shape[1])).points()
@@ -229,7 +221,7 @@ class TestArrayDetection:
         for g in range(mags.shape[1]):
             threshold, bins = detect_bins_oracle(mags[:, g], policy)
             assert thresholds[g] == threshold
-            assert _detect_bins(mags[:, g], policy) == bins
+            assert detected_bins(mags[:, g], policy) == bins
             top = (mags[bins[0], g], bins[0]) if bins else (0.0, None)
             assert (records[g].score, records[g].peak_bin) == top
             expected += [(-mags[b, g], g, b) for b in bins if not exclude[b, g]]
@@ -601,6 +593,18 @@ class TestScaleInvariance:
             assert b.raw_magnitude == factor * a.raw_magnitude
             assert b.corrected_amplitude == factor * a.corrected_amplitude
         np.testing.assert_array_equal(other.reconstructed, factor * base.reconstructed)
+        assert other.measurement_residual_ratio == base.measurement_residual_ratio
+
+    def test_subnormal_residual_ratio_scales_exactly(self):
+        # a real part near 1e-161 leaves a residual whose energy is subnormal,
+        # where squaring unscaled samples loses low bits differently for y and 2y
+        comp = PolyPhaseComponent(-3.45612376117869e-161 - 0.4810466025208556j, (12.0, -8.0))
+        meas = MeasurementSet.from_samples(synthesize_components([comp], 32),
+                                           select_measurements(32, 22, 0, 1665895287), 32)
+        doubled = MeasurementSet(meas.positions, 2.0 * meas.values, 32)
+        base = _recover_or_error(meas, ThresholdPolicy.relative(0.5), "threshold")
+        other = _recover_or_error(doubled, ThresholdPolicy.relative(0.5), "threshold")
+        assert 0.0 < base.measurement_residual_ratio < np.finfo(np.float64).tiny
         assert other.measurement_residual_ratio == base.measurement_residual_ratio
 
 

@@ -10,7 +10,6 @@ from pftcs import (
     dft,
     idft,
     kernel_values_at,
-    make_kernel,
     pft,
     synthesize_components,
 )
@@ -99,12 +98,14 @@ class TestKernel:
         both = kernel_values_at(KernelParams((2.5,)), m, 64)
         np.testing.assert_allclose(a * b, both, atol=1e-12)
 
-    def test_make_kernel_covers_index_range(self):
-        kern = make_kernel(KernelParams((4.0,)), 16, index_origin=-8)
-        expected = kernel_values_at(KernelParams((4.0,)), np.arange(-8, 8), 16)
-        np.testing.assert_allclose(kern.values, expected, atol=1e-12)
-        np.testing.assert_allclose(kern.inverse_values() * kern.values,
-                                   np.ones(16), atol=1e-12)
+    def test_pft_demodulates_over_index_range(self):
+        # the kernel is sampled at m0 .. m0 + M - 1, not at 0 .. M - 1
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=16) + 1j * rng.normal(size=16)
+        params = KernelParams((4.0,))
+        expected = dense_dft_matrix(16) @ (x * kernel_values_at(params, np.arange(-8, 8), 16))
+        np.testing.assert_allclose(pft(x, params, index_origin=-8).coeffs, expected,
+                                   atol=1e-12 * np.max(np.abs(expected)))
 
     def test_full_coeffs_prepends_linear(self):
         assert KernelParams((2.0, 3.0)).full_coeffs(linear=5.0) == (5.0, 2.0, 3.0)
