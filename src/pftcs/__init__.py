@@ -40,7 +40,6 @@ from .model import (
 from .recovery import (
     COND_LIMIT,
     DetectedComponent,
-    GridPoint,
     ParameterGrid,
     RankDeficiencyError,
     RecoverConfig,
@@ -71,7 +70,6 @@ __all__ = [
     "DetectedComponent",
     "ExperimentConfig",
     "ExperimentOutcome",
-    "GridPoint",
     "KernelParams",
     "LpftRecoveryResult",
     "LpftSpectrogram",

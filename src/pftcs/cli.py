@@ -50,20 +50,21 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text, needs_config=True):
+    def add(name, help_text, needs_config=True, stage=False):
         p = sub.add_parser(name, help=help_text)
         if needs_config:
             p.add_argument("--config", required=True, help="experiment INI file")
         p.add_argument("--out", default=".", help="output directory (default: current)")
         p.add_argument("--seed", type=int, default=None,
                        help="override every seed in the config")
-        p.add_argument("--plot-script", action="store_true",
-                       help="also write a gnuplot script for the artifacts")
+        if not stage:  # only full experiments write plot.gp
+            p.add_argument("--plot-script", action="store_true",
+                           help="also write a gnuplot script for the artifacts")
         return p
 
-    add("synth", "synthesize the configured signal to signal.csv")
-    add("sample", "synthesize, apply noise, and write the measurement set")
-    add("sweep", "run the rate sweep only and write sweep.csv")
+    add("synth", "synthesize the configured signal to signal.csv", stage=True)
+    add("sample", "synthesize, apply noise, and write the measurement set", stage=True)
+    add("sweep", "run the rate sweep only and write sweep.csv", stage=True)
     add("recover", "full sweep + detection + amplitude-corrected reconstruction")
     add("lpft", "window-by-window recovery of a piecewise signal")
     add("snr-table", "Monte-Carlo input/output SNR table")

@@ -13,7 +13,7 @@ import configparser
 from dataclasses import dataclass, field
 
 from .model import NoiseSpec, PolyPhaseComponent
-from .recovery import ParameterGrid, RecoverConfig, ThresholdPolicy
+from .recovery import ParameterGrid, RecoverConfig, ThresholdPolicy, _check_estimate_cells
 
 __all__ = ["ConfigError", "ExperimentConfig", "Piece", "parse_config", "parse_config_string"]
 
@@ -243,6 +243,13 @@ def parse_config(path) -> ExperimentConfig:
     return _build(parser)
 
 
+def _check_cells(keys: str, length: int, n_points: int):
+    try:
+        _check_estimate_cells(length, n_points)
+    except ValueError as exc:
+        raise ConfigError(f"{keys}: {exc}") from None
+
+
 def _require(sections, name) -> _Section:
     section = sections.get(name)
     if section is None:
@@ -284,6 +291,9 @@ def _read(sections) -> ExperimentConfig:
                 raise ConfigError(
                     f"[phase_transition] measurement count {n} exceeds signal length {config.pt_length}"
                 )
+        # phase_transition's default grid has 8 rates
+        n_rates = 8 if config.pt_rates is None else len(config.pt_rates)
+        _check_cells("[phase_transition] length and rates", config.pt_length, n_rates)
         return config
 
     signal = _require(sections, "signal")
@@ -322,6 +332,8 @@ def _read(sections) -> ExperimentConfig:
 
     grid_section = sections.get("grid")
     grid = _parse_grid(grid_section) if grid_section is not None else None
+    if grid is not None:
+        _check_cells("[signal] length and [grid]", length, grid.n_points)
     policy_section = sections.get("policy")
     policy = _parse_policy(policy_section) if policy_section is not None else None
     # snr-table draws its own masks and noise per trial

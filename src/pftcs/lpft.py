@@ -145,14 +145,13 @@ def _sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,
     """:func:`lpft_sweep` records, the (N, G) demodulated samples, their
     (n_windows, W, G) spectrum magnitudes and the (n_windows, G) thresholds."""
     _check_window(window, meas.signal_length)
-    points = grid.points()
-    weighted = meas.values[:, None] * _kernel_matrix(meas, points)
+    weighted = meas.values[:, None] * _kernel_matrix(meas, grid)
     mags = np.abs(_scatter_spectra(meas, weighted, window))
     # an empty window is all zeros and detects nothing
     thresholds = policy.column_thresholds(np.moveaxis(mags, 1, 0))
     hits = (mags >= thresholds[:, None, :]) & (mags > 0.0)
     projection = np.where(hits, mags, 0.0).sum(axis=0)
-    return _sweep_records(points, projection, 0.0), weighted, mags, thresholds
+    return _sweep_records(grid, projection, 0.0), weighted, mags, thresholds
 
 
 @dataclass(frozen=True)
@@ -205,8 +204,10 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
     thresholds, strongest first, capped at ``max(1, N_b // 2 - 1)`` to
     leave residual headroom for the comparison), the local Fourier
     amplitudes are fitted by least squares, and the candidate with the
-    smallest relative residual is assigned; earlier grid points win ties.
-    Windows with no measurements or no fitting candidate reconstruct as
+    smallest computed relative residual is assigned.  A later candidate
+    displaces the best only with a strictly smaller ratio, so candidates
+    that tie in exact arithmetic are decided by the rounding of their
+    ratios, in either direction.  Windows with no measurements or no fitting candidate reconstruct as
     zeros and are listed in ``unassigned_windows``.  The result carries the
     :func:`lpft_sweep` records in ``sweep``.
     """

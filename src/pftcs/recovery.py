@@ -15,7 +15,6 @@ components always carry their actual phase coefficients.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -27,7 +26,6 @@ from .transform import KernelParams, Spectrum, kernel_values_at
 __all__ = [
     "RankDeficiencyError",
     "ParameterGrid",
-    "GridPoint",
     "ThresholdPolicy",
     "DetectedComponent",
     "SweepPoint",
@@ -43,6 +41,8 @@ __all__ = [
 
 # Condition-number ceiling for the normal equations of the amplitude solve.
 COND_LIMIT = 1e12
+# Strongest threshold-passing cells that :func:`_best_pair` pairs up.
+PAIR_POOL = 40
 # Support entries whose amplitude is at most this fraction of the strongest
 # are pruned after the pursuit.
 PRUNE_RATIO = 1e-8
@@ -51,34 +51,15 @@ RESIDUAL_TOL = 1e-24
 # Measurement residual (relative energy) above which a fit is flagged as a
 # possible off-grid component.
 OFFGRID_RESIDUAL = 1e-6
-# Most grid points a ParameterGrid may hold; every sweep round allocates an
-# (M, points) complex estimate.
+# Most grid points a ParameterGrid may hold.
 MAX_GRID_POINTS = 1 << 16
+# Most cells (signal length M times grid points) of the complex (M, points)
+# estimate that every sweep round allocates: 256 MiB.
+MAX_ESTIMATE_CELLS = 1 << 24
 
 
 class RankDeficiencyError(RuntimeError):
     """Amplitude system is underdetermined or numerically rank-deficient."""
-
-
-@dataclass(frozen=True)
-class GridPoint:
-    """One candidate from a parameter grid: ``coeffs`` maps order -> rate."""
-
-    index: int
-    coeffs: tuple  # ((order, value), ...) ascending order
-
-    @property
-    def kernel_params(self) -> KernelParams:
-        # rate v demodulates exp(+j2pi v t^p) == kernel coefficient -v
-        max_order = max(order for order, _ in self.coeffs)
-        higher = [0.0] * (max_order - 1)
-        for order, value in self.coeffs:
-            higher[order - 2] = -float(value)
-        return KernelParams(tuple(higher))
-
-    @property
-    def values(self) -> tuple:
-        return tuple(v for _, v in self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -87,10 +68,12 @@ class ParameterGrid:
 
     ``orders`` is a tuple of ``(order, values)`` pairs with orders >= 2 and
     strictly increasing values; multi-order grids enumerate the cross
-    product in row-major order.
+    product in row-major order.  ``rates`` holds that enumeration as a
+    read-only ``(points, orders)`` array: row ``g`` is grid point ``g``.
     """
 
     orders: tuple
+    rates: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.orders:
@@ -114,8 +97,13 @@ class ParameterGrid:
             norm.append((order, values))
         norm.sort()
         object.__setattr__(self, "orders", tuple(norm))
-        if self.n_points > MAX_GRID_POINTS:
-            raise ValueError(f"grid has {self.n_points} points, more than {MAX_GRID_POINTS}")
+        n_points = math.prod(len(values) for _, values in norm)
+        if n_points > MAX_GRID_POINTS:
+            raise ValueError(f"grid has {n_points} points, more than {MAX_GRID_POINTS}")
+        axes = np.meshgrid(*(values for _, values in norm), indexing="ij")
+        rates = np.stack(axes, axis=-1).reshape(n_points, len(norm))
+        rates.flags.writeable = False
+        object.__setattr__(self, "rates", rates)
 
     @classmethod
     def single(cls, degree, values) -> "ParameterGrid":
@@ -137,18 +125,7 @@ class ParameterGrid:
 
     @property
     def n_points(self) -> int:
-        n = 1
-        for _, values in self.orders:
-            n *= len(values)
-        return n
-
-    def points(self) -> list:
-        value_lists = [values for _, values in self.orders]
-        order_ids = [order for order, _ in self.orders]
-        out = []
-        for idx, combo in enumerate(itertools.product(*value_lists)):
-            out.append(GridPoint(idx, tuple(zip(order_ids, combo))))
-        return out
+        return self.rates.shape[0]
 
 
 @dataclass(frozen=True)
@@ -272,6 +249,13 @@ class RecoveryResult:
     sweep: tuple = ()
 
 
+def _check_estimate_cells(length: int, n_points: int):
+    """Raise ValueError when an (M, G) estimate would exceed ``MAX_ESTIMATE_CELLS``."""
+    if length * n_points > MAX_ESTIMATE_CELLS:
+        raise ValueError(f"signal length {length} times {n_points} grid points "
+                         f"is more than {MAX_ESTIMATE_CELLS} estimate cells")
+
+
 def _scatter_spectra(meas: MeasurementSet, weighted, window=None) -> np.ndarray:
     """Masked per-window spectra of every column, via one zero-filled FFT.
 
@@ -284,6 +268,7 @@ def _scatter_spectra(meas: MeasurementSet, weighted, window=None) -> np.ndarray:
     samples are zero.  Returns the (n_windows, W, G) array.
     """
     m_len = meas.signal_length
+    _check_estimate_cells(m_len, weighted.shape[1])
     window = m_len if window is None else window
     n_win = m_len // window
     q = meas.positions - meas.index_origin
@@ -332,11 +317,31 @@ def _ranked_hits(mags: np.ndarray, thresholds: np.ndarray, exclude=np.False_):
     return bins[order], cols[order]
 
 
-def _kernel_matrix(meas: MeasurementSet, points) -> np.ndarray:
-    """(N, G) kernel samples: column ``g`` is ``kernel_values_at`` of point ``g``."""
-    coeffs = np.array([p.kernel_params.full_coeffs() for p in points]).T
-    cycles = phase_cycles(coeffs, meas.positions[:, None], meas.signal_length)
+def _kernel_coeffs(grid: ParameterGrid) -> np.ndarray:
+    """(max_order, G) kernel coefficients ``c_1 .. c_n`` of every grid point.
+
+    The linear term is zero.  A rate ``v`` demodulates ``exp(+j2pi v t^p)``,
+    so its kernel coefficient is ``-v``; orders the grid does not sweep are
+    zero.
+    """
+    coeffs = np.zeros((grid.orders[-1][0], grid.n_points))
+    for j, (order, _) in enumerate(grid.orders):
+        coeffs[order - 1] = -grid.rates[:, j]
+    return coeffs
+
+
+def _kernel_matrix(meas: MeasurementSet, grid: ParameterGrid) -> np.ndarray:
+    """(N, G) kernel samples: column ``g`` is ``kernel_values_at`` of grid point ``g``."""
+    cycles = phase_cycles(_kernel_coeffs(grid), meas.positions[:, None], meas.signal_length)
     return np.exp(-2j * np.pi * cycles)
+
+
+def _atoms(meas: MeasurementSet, kernels: np.ndarray, bins) -> np.ndarray:
+    """(N, K) atoms ``conj(kernels[:, i]) * exp(2j*pi*bins[i]*m/M)`` at the
+    measurement positions ``m``: the unit components the kernels demodulate
+    into those bins."""
+    turns = np.outer(meas.positions, bins) % meas.signal_length
+    return np.conj(kernels) * np.exp(2j * np.pi * turns / meas.signal_length)
 
 
 def _grid_estimates(meas: MeasurementSet, kernels: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -346,25 +351,19 @@ def _grid_estimates(meas: MeasurementSet, kernels: np.ndarray, values: np.ndarra
 
 def sweep(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy) -> list:
     """Single-pass sweep: per grid point, the top surviving peak (0 if none)."""
-    points = grid.points()
-    mags = np.abs(_grid_estimates(meas, _kernel_matrix(meas, points), meas.values))
-    return _sweep_records(points, mags, policy.column_thresholds(mags))
+    mags = np.abs(_grid_estimates(meas, _kernel_matrix(meas, grid), meas.values))
+    return _sweep_records(grid, mags, policy.column_thresholds(mags))
 
 
-def _sweep_records(points, mags: np.ndarray, thresholds: np.ndarray) -> list:
+def _sweep_records(grid: ParameterGrid, mags: np.ndarray, thresholds: np.ndarray) -> list:
     peaks = np.argmax(mags, axis=0)  # ties go to the lower bin
     top = mags[peaks, np.arange(mags.shape[1])]
     scores = np.where(top >= thresholds, top, 0.0).tolist()
-    return [SweepPoint(p.index, p.coeffs, p.kernel_params, scores[p.index],
-                       int(peaks[p.index]) if scores[p.index] > 0 else None) for p in points]
-
-
-def _atom_matrix(meas: MeasurementSet, components) -> np.ndarray:
-    cols = [
-        np.exp(2j * np.pi * phase_cycles(c.phase_coeffs(), meas.positions, meas.signal_length))
-        for c in components
-    ]
-    return np.stack(cols, axis=1)
+    orders = [order for order, _ in grid.orders]
+    higher = _kernel_coeffs(grid)[1:].T.tolist()
+    return [SweepPoint(g, tuple(zip(orders, rates)), KernelParams(tuple(higher[g])), scores[g],
+                       int(peaks[g]) if scores[g] > 0 else None)
+            for g, rates in enumerate(grid.rates.tolist())]
 
 
 def _solve_amplitudes(atoms: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -393,7 +392,10 @@ def amplitude_correction(meas: MeasurementSet, detected) -> np.ndarray:
     detected = list(detected)
     if not detected:
         return np.zeros(0, dtype=np.complex128)
-    return _solve_amplitudes(_atom_matrix(meas, detected), meas.values)
+    kernels = np.stack([kernel_values_at(c.params, meas.positions, meas.signal_length)
+                        for c in detected], axis=1)
+    atoms = _atoms(meas, kernels, [c.freq_bin for c in detected])
+    return _solve_amplitudes(atoms, meas.values)
 
 
 def reconstruct(components, length, index_origin=0) -> np.ndarray:
@@ -423,8 +425,8 @@ def _residual_ratio(left, y) -> float:
     return _energy(left / scale) / _energy(y / scale)
 
 
-def _best_pair(meas: MeasurementSet, points, mags: np.ndarray, thresholds: np.ndarray,
-               limit: int = 40):
+def _best_pair(meas: MeasurementSet, kernels: np.ndarray, mags: np.ndarray,
+               thresholds: np.ndarray):
     """Strongest two-atom joint fit among the threshold-passing cells of ``mags``.
 
     Components of comparable strength can all sit below the largest clutter
@@ -432,19 +434,15 @@ def _best_pair(meas: MeasurementSet, points, mags: np.ndarray, thresholds: np.nd
     recovers them; a joint two-atom fit is far more selective because only
     the true pair drives the residual toward zero.  Returns the best pair as
     ``[(point_index, bin, magnitude), ...]`` or ``None`` when fewer than two
-    candidates pass.  ``mags`` is the estimate of the measurements.  The pool
-    is capped at ``limit`` cells and nearly collinear pairs are skipped.
+    candidates pass.  ``mags`` is the estimate of the measurements and
+    ``kernels`` the (N, G) kernel matrix.  The pool is capped at
+    ``PAIR_POOL`` cells and nearly collinear pairs are skipped.
     """
     bins, cols = _ranked_hits(mags, thresholds)
-    pool = [(float(mags[b, pi]), pi, b)
-            for b, pi in zip(bins[:limit].tolist(), cols[:limit].tolist())]
-    if len(pool) < 2:
+    bins, cols = bins[:PAIR_POOL], cols[:PAIR_POOL]
+    if bins.size < 2:
         return None
-    pending = [
-        DetectedComponent(points[pi].kernel_params, b, mag)
-        for mag, pi, b in pool
-    ]
-    atoms = _atom_matrix(meas, pending)
+    atoms = _atoms(meas, kernels[:, cols], bins)
     gram = atoms.conj().T @ atoms
     corr = atoms.conj().T @ meas.values
     diag = np.real(np.diag(gram)).copy()
@@ -460,10 +458,7 @@ def _best_pair(meas: MeasurementSet, points, mags: np.ndarray, thresholds: np.nd
     score = np.where(valid, np.divide(captured, det, where=det > 0,
                                       out=np.zeros_like(captured)), -np.inf)
     i, j = np.unravel_index(int(np.argmax(score)), score.shape)
-    return [
-        (pool[i][1], pool[i][2], pool[i][0]),
-        (pool[j][1], pool[j][2], pool[j][0]),
-    ]
+    return [(int(cols[k]), int(bins[k]), float(mags[bins[k], cols[k]])) for k in (i, j)]
 
 
 def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
@@ -487,21 +482,17 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     """
     cfg = config or RecoverConfig()
     m_len, n_meas = meas.signal_length, meas.count
-    points = grid.points()
-    kernels = _kernel_matrix(meas, points)
+    kernels = _kernel_matrix(meas, grid)
     y = meas.values
     y_energy = _energy(y)
     cap = cfg.max_components if cfg.max_components is not None else max(1, min(m_len, n_meas - 1))
     first = np.abs(_grid_estimates(meas, kernels, y))
     first_thresholds = policy.column_thresholds(first)
-    records = tuple(_sweep_records(points, first, first_thresholds))
+    records = tuple(_sweep_records(grid, first, first_thresholds))
 
     def refit(entries):
-        pending = [
-            DetectedComponent(points[pi].kernel_params, b, mag)
-            for pi, b, mag in entries
-        ]
-        atoms = _atom_matrix(meas, pending)
+        cols, bins, _ = zip(*entries)
+        atoms = _atoms(meas, kernels[:, cols], bins)
         fitted = _solve_amplitudes(atoms, y)
         left = y - atoms @ fitted
         ratio = _residual_ratio(left, y) if y_energy > 0 else 0.0
@@ -568,7 +559,7 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
             if per_round is not None:
                 limit = min(limit, per_round)
             for b, pi in batch:
-                if admitted >= limit:
+                if admitted >= limit or residual_ratio <= RESIDUAL_TOL:
                     break
                 tried[b, pi] = True
                 extended = try_extend(support, (pi, b, float(mags[b, pi])))
@@ -578,30 +569,25 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
                 admitted += 1
         return support, amps, residual, residual_ratio
 
-    support, amps, residual, residual_ratio = pursue(None)
-    if (cfg.pursuit == "exact" and residual_ratio > RESIDUAL_TOL
-            and support and cap > 1):
+    def ratio_of(fit):
+        return fit[3]
+
+    best = pursue(None)
+    exact = cfg.pursuit == "exact"
+    if exact and ratio_of(best) > RESIDUAL_TOL and best[0] and cap > 1:
         # restart with the complementary admission style: batch admission
         # keeps true peaks prominent when clutter is dense, one-at-a-time
         # admission avoids crowding when clutter is sparse; a miss under
         # one style is often a hit under the other
-        alt_support, alt_amps, alt_residual, alt_ratio = pursue(1)
-        if alt_ratio < residual_ratio:
-            support, amps, residual, residual_ratio = (
-                alt_support, alt_amps, alt_residual, alt_ratio
-            )
-    if (cfg.pursuit == "exact" and residual_ratio > RESIDUAL_TOL
-            and cap >= 3):
+        best = min(best, pursue(1), key=ratio_of)
+    if exact and ratio_of(best) > RESIDUAL_TOL and cap >= 3:
         # last resort: seed with the best joint two-atom fit instead of the
         # single strongest cell, which rescues components of similar size
         # that all sit just below the sparse estimate's clutter maximum
-        pair = _best_pair(meas, points, first, first_thresholds)
+        pair = _best_pair(meas, kernels, first, first_thresholds)
         if pair is not None:
-            alt_support, alt_amps, alt_residual, alt_ratio = pursue(None, seed=pair)
-            if alt_ratio < residual_ratio:
-                support, amps, residual, residual_ratio = (
-                    alt_support, alt_amps, alt_residual, alt_ratio
-                )
+            best = min(best, pursue(None, seed=pair), key=ratio_of)
+    support, amps, _, residual_ratio = best
 
     if support:
         scale = float(np.max(np.abs(amps)))
@@ -609,21 +595,13 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
         if len(keep) < len(support):
             support = [support[i] for i in keep]
             if support:
-                amps, residual, residual_ratio = refit(support)
+                amps, _, residual_ratio = refit(support)
 
-    if not support:
-        reconstructed = np.zeros(m_len, dtype=np.complex128)
-        ratio = None
-        if reference is not None:
-            ref = np.asarray(reference, dtype=np.complex128)
-            ratio = _energy(ref - reconstructed) / _energy(ref)
-        return RecoveryResult((), reconstructed,
-                              1.0 if y_energy > 0 else 0.0, y_energy > 0, ratio, records)
-
+    # an empty support keeps the ratio 1 (0 for zero data) and reconstructs zeros
     order = sorted(range(len(support)),
                    key=lambda i: (-support[i][2], support[i][0], support[i][1]))
     components = tuple(
-        DetectedComponent(points[support[i][0]].kernel_params, support[i][1],
+        DetectedComponent(records[support[i][0]].params, support[i][1],
                           support[i][2], complex(amps[i]))
         for i in order
     )

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from pftcs import cli
+from pftcs import cli, recovery
 from pftcs.config import ConfigError, parse_config, parse_config_string
 from pftcs.recovery import ThresholdPolicy
 
@@ -144,7 +144,7 @@ class TestParseHappyPaths:
         )
         grid = parse_config_string(text).grid
         assert grid.n_points == 5
-        assert [p.values for p in grid.points()][-1] == (32.0,)
+        assert grid.rates[-1].tolist() == [32.0]
 
     def test_lpft_pieces_sorted_and_window(self):
         config = parse_config_string(TINY_LPFT)
@@ -190,6 +190,40 @@ class TestParseHappyPaths:
 
 
 class TestParseErrors:
+    @pytest.mark.parametrize("name", ["recover", "lpft", "snr"])
+    def test_signal_length_times_grid_bounded(self, monkeypatch, name):
+        # each of these tiny configs has a length-64 signal and 2-3 rates
+        monkeypatch.setattr(recovery, "MAX_ESTIMATE_CELLS", 127)
+        with pytest.raises(ConfigError, match=r"\[signal\] length and \[grid\]: signal length 64 "
+                                              r"times [23] grid points is more than 127"):
+            parse_config_string(TINY[name])
+
+    def test_estimate_cells_bound_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(recovery, "MAX_ESTIMATE_CELLS", 64 * 3)
+        assert parse_config_string(TINY_RECOVER).grid.n_points == 3
+        monkeypatch.setattr(recovery, "MAX_ESTIMATE_CELLS", 64 * 3 - 1)
+        with pytest.raises(ConfigError, match="times 3 grid points is more than 191"):
+            parse_config_string(TINY_RECOVER)
+
+    def test_huge_signal_length_rejected(self):
+        # 2**26 bins times 2**16 rates is 64 TiB per complex estimate
+        text = TINY_RECOVER.replace("length = 64", "length = 67108864").replace(
+            "values = 0 24 32", "start = 0\nstop = 65535\nstep = 1")
+        with pytest.raises(ConfigError, match=r"\[signal\] length and \[grid\]"):
+            parse_config_string(text)
+
+    def test_phase_transition_cells_bounded(self, monkeypatch):
+        # length 32 times 2 configured rates, or times the 8 default rates
+        monkeypatch.setattr(recovery, "MAX_ESTIMATE_CELLS", 64)
+        assert parse_config_string(TINY_PT).pt_rates == (0.0, 16.0)
+        with pytest.raises(ConfigError, match=r"\[phase_transition\] length and rates: "
+                                              r"signal length 32 times 8 grid points"):
+            parse_config_string(TINY_PT.replace("rates = 0 16\n", ""))
+        monkeypatch.setattr(recovery, "MAX_ESTIMATE_CELLS", 63)
+        with pytest.raises(ConfigError, match=r"\[phase_transition\] length and rates: "
+                                              r"signal length 32 times 2 grid points"):
+            parse_config_string(TINY_PT)
+
     def test_unknown_kind(self):
         text = TINY_RECOVER.replace("kind = sweep-recover", "kind = mystery")
         with pytest.raises(ConfigError, match="expected one of"):
@@ -413,6 +447,14 @@ class TestCliExitCodes:
         assert code == 2
         assert "config error" in capsys.readouterr().err
 
+    def test_estimate_cells_bound_is_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(recovery, "MAX_ESTIMATE_CELLS", 64 * 3 - 1)
+        cfg = write_config(tmp_path, TINY_RECOVER)
+        code = cli.main(["recover", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "[signal] length and [grid]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_zero_count_is_2(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TINY_RECOVER.replace("count = 24", "count = 0"))
         code = cli.main(["recover", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -514,6 +556,16 @@ class TestCliStages:
                          "--plot-script"])
         assert code == 0
         assert (out / "plot.gp").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "sample", "sweep"])
+    def test_stage_commands_reject_plot_script(self, tmp_path, command):
+        # the single-stage commands never write plot.gp, so the flag is unknown
+        cfg = write_config(tmp_path, TINY_RECOVER)
+        out = tmp_path / command
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, "--config", cfg, "--out", str(out), "--plot-script"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
     def test_snr_table_command(self, tmp_path):
         cfg = write_config(tmp_path, TINY_SNR)

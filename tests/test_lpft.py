@@ -376,7 +376,7 @@ class TestLpftRecover:
         assert error < 1e-10
         assert result.unassigned_windows == ()
         # first half demodulates at rate 32, second half at rate 56
-        rates = [dict(grid.points()[a.grid_index].coeffs)[2]
+        rates = [dict(result.sweep[a.grid_index].coeffs)[2]
                  for a in result.assignments]
         assert rates[:4] == [32.0] * 4
         assert rates[4:] == [56.0] * 4

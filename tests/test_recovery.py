@@ -10,7 +10,6 @@ from hypothesis.extra.numpy import arrays
 
 from pftcs import (
     DetectedComponent,
-    GridPoint,
     KernelParams,
     MeasurementSet,
     ParameterGrid,
@@ -30,13 +29,16 @@ from pftcs import (
     sweep,
     synthesize_components,
 )
-from pftcs import recovery
+from pftcs import phase_cycles, recovery
+from pftcs.csvio import write_sweep_csv
 from pftcs.recovery import (
+    _atoms,
     _best_pair,
     _column_median,
     _grid_estimates,
     _kernel_matrix,
     _ranked_hits,
+    _scatter_spectra,
     _sweep_records,
 )
 
@@ -51,6 +53,19 @@ def direct_estimate(meas, params):
             q = pos - meas.index_origin
             out[k] += val * f * np.exp(-2j * np.pi * k * q / m_len)
     return out * (m_len / meas.count)
+
+
+def phase_atoms(meas, detected):
+    """Atoms evaluated from each component's full phase polynomial."""
+    return np.stack([
+        np.exp(2j * np.pi * phase_cycles(c.phase_coeffs(), meas.positions, meas.signal_length))
+        for c in detected
+    ], axis=1)
+
+
+def grid_records(grid):
+    """The grid's :class:`SweepPoint` records, all scored zero."""
+    return _sweep_records(grid, np.zeros((1, grid.n_points)), 1.0)
 
 
 def chirp_measurements(length=64, count=24, seed=8, coeffs=(10.0, 24.0),
@@ -82,12 +97,10 @@ class TestSpectralEstimate:
     def test_fft_batch_matches_direct_estimate(self):
         meas, _ = chirp_measurements(length=64, count=20, index_origin=-32)
         grid = ParameterGrid.single(2, (0.0, 16.0, 24.0))
-        points = grid.points()
-        kernels = _kernel_matrix(meas, points)
-        batch = _grid_estimates(meas, kernels, meas.values)
-        for point in points:
-            single = cs_spectral_estimate(meas, point.kernel_params).coeffs
-            np.testing.assert_allclose(batch[:, point.index], single,
+        batch = _grid_estimates(meas, _kernel_matrix(meas, grid), meas.values)
+        for g, rate in enumerate((0.0, 16.0, 24.0)):
+            single = cs_spectral_estimate(meas, KernelParams((-rate,))).coeffs
+            np.testing.assert_allclose(batch[:, g], single,
                                        atol=1e-9 * np.max(np.abs(single)))
 
     def test_unbiased_at_matched_bin(self):
@@ -100,29 +113,45 @@ class TestSpectralEstimate:
         assert abs(est[5]) == pytest.approx(length * 2.0, rel=1e-12)
 
 
+@st.composite
+def atom_cases(draw):
+    """Measurements at either origin, a 1- or 2-order grid, gathered cells.
+
+    Rates stay within +-64, so the phase-polynomial oracle itself is
+    accurate to well below the 1e-12 tolerance."""
+    length = draw(st.sampled_from([32, 64]))
+    origin = draw(st.sampled_from([0, -(length // 2)]))
+    positions = select_measurements(length, draw(st.integers(1, min(length, 64))), origin,
+                                    draw(st.integers(0, 2**32 - 1)))
+    meas = MeasurementSet(positions, np.ones(positions.size), length, origin)
+    rate = st.floats(-64.0, 64.0, allow_nan=False, allow_infinity=False)
+    orders = draw(st.sampled_from([(2,), (3,), (2, 3)]))
+    grid = ParameterGrid(tuple((order, tuple(sorted(draw(st.sets(rate, min_size=1, max_size=3)))))
+                               for order in orders))
+    cells = draw(st.lists(st.tuples(st.integers(0, grid.n_points - 1),
+                                    st.integers(0, length - 1)), min_size=1, max_size=4))
+    return meas, grid, cells
+
+
 class TestAtomFactorization:
     """Dictionary columns factor into inverse kernel times Fourier atom."""
 
-    def test_atom_is_kernel_conjugate_times_fourier(self):
-        from pftcs.recovery import _atom_matrix
-
-        meas, _ = chirp_measurements(length=64, count=20, index_origin=-32)
-        params = KernelParams((-24.0, 8.0))
-        comp = DetectedComponent(params, 13, 1.0)
-        atoms = _atom_matrix(meas, [comp])
-        kernel = kernel_values_at(params, meas.positions, meas.signal_length)
-        fourier = np.exp(2j * np.pi * 13 * meas.positions / meas.signal_length)
-        np.testing.assert_allclose(atoms[:, 0], np.conj(kernel) * fourier,
-                                   atol=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(atom_cases())
+    def test_atom_is_kernel_conjugate_times_fourier(self, case):
+        meas, grid, cells = case
+        cols, bins = (list(c) for c in zip(*cells))
+        atoms = _atoms(meas, _kernel_matrix(meas, grid)[:, cols], bins)
+        records = grid_records(grid)
+        expected = phase_atoms(meas, [DetectedComponent(records[g].params, b, 1.0)
+                                      for g, b in cells])
+        np.testing.assert_allclose(atoms, expected, rtol=0, atol=1e-12)
 
     def test_matrix_form(self):
-        from pftcs.recovery import _atom_matrix
-
         meas, _ = chirp_measurements(length=32, count=16)
         params = KernelParams((6.0,))
-        comps = [DetectedComponent(params, b, 1.0) for b in (2, 9, 20)]
-        atoms = _atom_matrix(meas, comps)
         kernel = kernel_values_at(params, meas.positions, meas.signal_length)
+        atoms = _atoms(meas, np.stack([kernel] * 3, axis=1), [2, 9, 20])
         fourier = np.exp(
             2j * np.pi * np.outer(meas.positions, [2, 9, 20]) / meas.signal_length
         )
@@ -215,8 +244,7 @@ class TestArrayDetection:
     def test_matches_per_column_oracle(self, detect_bins_oracle, case):
         mags, exclude, policy = case
         thresholds = policy.column_thresholds(mags)
-        points = ParameterGrid.single(2, range(mags.shape[1])).points()
-        records = _sweep_records(points, mags, thresholds)
+        records = _sweep_records(ParameterGrid.single(2, range(mags.shape[1])), mags, thresholds)
         expected = []
         for g in range(mags.shape[1]):
             threshold, bins = detect_bins_oracle(mags[:, g], policy)
@@ -237,39 +265,58 @@ class TestArrayDetection:
     def test_kernel_matrix_matches_per_point_kernels(self):
         meas, _ = chirp_measurements(length=64, count=24, index_origin=-32)
         grid = ParameterGrid(((2, (-24.0, 0.0, 8.5)), (3, (-3.0, 16.0))))
-        points = grid.points()
-        expected = np.stack([kernel_values_at(p.kernel_params, meas.positions, 64)
-                             for p in points], axis=1)
-        assert _kernel_matrix(meas, points).tobytes() == expected.tobytes()
+        expected = np.stack([kernel_values_at(KernelParams((-a, -b)), meas.positions, 64)
+                             for a in (-24.0, 0.0, 8.5) for b in (-3.0, 16.0)], axis=1)
+        assert _kernel_matrix(meas, grid).tobytes() == expected.tobytes()
 
 
 class TestParameterGrid:
     def test_from_range_includes_endpoints(self):
         grid = ParameterGrid.from_range(3, -640.0, 640.0, 32.0)
         assert grid.n_points == 41
-        points = grid.points()
-        assert points[0].values == (-640.0,)
-        assert points[40].values == (640.0,)
+        assert grid.rates.shape == (41, 1)
+        assert grid.rates[0].tolist() == [-640.0]
+        assert grid.rates[40].tolist() == [640.0]
         # 0-based index 36 carries rate 512, index 28 carries rate 256
-        assert points[36].values == (512.0,)
-        assert points[28].values == (256.0,)
+        assert grid.rates[36].tolist() == [512.0]
+        assert grid.rates[28].tolist() == [256.0]
 
     def test_kernel_params_negate_rates(self):
-        point = GridPoint(0, ((2, 256.0), (3, -32.0)))
-        assert point.kernel_params == KernelParams((-256.0, 32.0))
+        record, = grid_records(ParameterGrid(((2, (256.0,)), (3, (-32.0,)))))
+        assert record.coeffs == ((2, 256.0), (3, -32.0))
+        assert record.params == KernelParams((-256.0, 32.0))
 
     def test_missing_orders_fill_with_zero(self):
-        point = GridPoint(0, ((3, 16.0),))
-        assert point.kernel_params == KernelParams((0.0, -16.0))
+        record, = grid_records(ParameterGrid.single(3, (16.0,)))
+        assert record.coeffs == ((3, 16.0),)
+        assert record.params == KernelParams((0.0, -16.0))
+        assert math.copysign(1.0, record.params.higher_coeffs[0]) == 1.0
 
     def test_cross_product_enumeration(self):
-        grid = ParameterGrid(((2, (0.0, 1.0)), (3, (5.0, 6.0, 7.0))))
+        grid = ParameterGrid(((3, (5.0, 6.0, 7.0)), (2, (0.0, 1.0))))
         assert grid.n_points == 6
-        points = grid.points()
-        assert points[0].values == (0.0, 5.0)
-        assert points[1].values == (0.0, 6.0)
-        assert points[5].values == (1.0, 7.0)
-        assert [p.index for p in points] == list(range(6))
+        assert grid.rates.tolist() == [[0.0, 5.0], [0.0, 6.0], [0.0, 7.0],
+                                       [1.0, 5.0], [1.0, 6.0], [1.0, 7.0]]
+        records = grid_records(grid)
+        assert [p.index for p in records] == list(range(6))
+        assert [p.coeffs for p in records][::5] == [((2, 0.0), (3, 5.0)), ((2, 1.0), (3, 7.0))]
+        assert records[1].params == KernelParams((-0.0, -6.0))
+
+    def test_negative_zero_rate_keeps_its_sign(self, tmp_path):
+        grid = ParameterGrid.single(2, (-0.0, 8.0))
+        record = grid_records(grid)[0]
+        assert math.copysign(1.0, dict(record.coeffs)[2]) == -1.0
+        assert math.copysign(1.0, record.params.higher_coeffs[0]) == 1.0
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(path, grid_records(grid), [2])
+        assert path.read_text().splitlines()[1] == "1,-0.0,0.0,"
+
+    def test_equality_and_hash_by_orders(self):
+        grid = ParameterGrid(((2, (0.0, 1.0)), (3, (5.0,))))
+        same = ParameterGrid(((3, [5]), (2, [0, 1])))
+        assert grid == same and hash(grid) == hash(same)
+        assert grid != ParameterGrid(((2, (0.0, 1.0)), (3, (6.0,))))
+        assert not grid.rates.flags.writeable
 
     def test_point_count_bounded(self, monkeypatch):
         monkeypatch.setattr(recovery, "MAX_GRID_POINTS", 10)
@@ -278,6 +325,18 @@ class TestParameterGrid:
             ParameterGrid.from_range(2, 0.0, 10.0, 1.0)
         with pytest.raises(ValueError, match="grid has 12 points, more than 10"):
             ParameterGrid(((2, range(4)), (3, range(3))))
+
+    def test_estimate_cells_bounded(self, monkeypatch):
+        # signal_length may be huge with few measurements; the bound is
+        # checked before the (M, G) estimate is allocated
+        monkeypatch.setattr(recovery, "MAX_ESTIMATE_CELLS", 64)
+        meas = MeasurementSet(np.arange(4), np.ones(4), 32)
+        assert _scatter_spectra(meas, np.ones((4, 2))).shape == (1, 32, 2)
+        with pytest.raises(ValueError, match="signal length 32 times 3 grid points "
+                                             "is more than 64 estimate cells"):
+            _scatter_spectra(meas, np.ones((4, 3)))
+        with pytest.raises(ValueError, match="more than 64 estimate cells"):
+            recover(meas, ParameterGrid.single(2, (0.0, 1.0, 2.0)), ThresholdPolicy.relative())
 
     def test_range_counted_before_it_is_built(self):
         with pytest.raises(ValueError, match="grid range has 65537 points"):
@@ -318,8 +377,6 @@ class TestAmplitudeCorrection:
         np.testing.assert_allclose(amps, [1.5 - 0.5j, 0.7j], atol=1e-10)
 
     def test_residual_orthogonal_to_atoms(self):
-        from pftcs.recovery import _atom_matrix
-
         rng = np.random.default_rng(21)
         length = 128
         meas, _ = chirp_measurements(length=length, count=40, seed=3)
@@ -330,15 +387,13 @@ class TestAmplitudeCorrection:
             for rate, b in [(0.0, 5), (16.0, 40), (-32.0, 90)]
         ]
         amps = amplitude_correction(meas, detected)
-        atoms = _atom_matrix(meas, detected)
+        atoms = phase_atoms(meas, detected)
         residual = y - atoms @ amps
         # least-squares optimality: the residual has no component along
         # any atom
         assert np.max(np.abs(atoms.conj().T @ residual)) < 1e-9 * np.linalg.norm(y)
 
     def test_matches_qr_least_squares(self):
-        from pftcs.recovery import _atom_matrix
-
         rng = np.random.default_rng(22)
         meas, _ = chirp_measurements(length=64, count=24, seed=9)
         y = rng.normal(size=24) + 1j * rng.normal(size=24)
@@ -347,7 +402,7 @@ class TestAmplitudeCorrection:
             DetectedComponent(KernelParams((8.0,)), b, 1.0) for b in (3, 17, 50)
         ]
         amps = amplitude_correction(meas, detected)
-        oracle, *_ = np.linalg.lstsq(_atom_matrix(meas, detected), y, rcond=None)
+        oracle, *_ = np.linalg.lstsq(phase_atoms(meas, detected), y, rcond=None)
         np.testing.assert_allclose(amps, oracle, atol=1e-9)
 
     def test_underdetermined_raises(self):
@@ -596,11 +651,13 @@ class TestScaleInvariance:
         assert other.measurement_residual_ratio == base.measurement_residual_ratio
 
     def test_subnormal_residual_ratio_scales_exactly(self):
-        # a real part near 1e-161 leaves a residual whose energy is subnormal,
-        # where squaring unscaled samples loses low bits differently for y and 2y
-        comp = PolyPhaseComponent(-3.45612376117869e-161 - 0.4810466025208556j, (12.0, -8.0))
-        meas = MeasurementSet.from_samples(synthesize_components([comp], 32),
-                                           select_measurements(32, 22, 0, 1665895287), 32)
+        # a chirp 1e-159 below a constant survives only in the imaginary
+        # parts; fitting the constant leaves it as a residual whose energy is
+        # subnormal, where squaring unscaled samples loses low bits
+        # differently for y and 2y
+        samples = synthesize_components([PolyPhaseComponent(1.0, (0.0,)),
+                                         PolyPhaseComponent(1e-159, (5.0, -8.0))], 32)
+        meas = MeasurementSet.from_samples(samples, select_measurements(32, 22, 0, 0), 32)
         doubled = MeasurementSet(meas.positions, 2.0 * meas.values, 32)
         base = _recover_or_error(meas, ThresholdPolicy.relative(0.5), "threshold")
         other = _recover_or_error(doubled, ThresholdPolicy.relative(0.5), "threshold")
@@ -646,8 +703,7 @@ class TestOriginShift:
     def test_sweep_columns_roll_by_rate(self, case):
         zero, centered, policy = case
         length, rates = zero.signal_length, [int(v) for v in SCALE_RATES]
-        points = self.GRID.points()
-        mags = [np.abs(_grid_estimates(m, _kernel_matrix(m, points), m.values))
+        mags = [np.abs(_grid_estimates(m, _kernel_matrix(m, self.GRID), m.values))
                 for m in (zero, centered)]
         tol = 1e-9 * mags[0].max()
         for g, v in enumerate(rates):
@@ -689,21 +745,21 @@ class TestBestPair:
         positions = select_measurements(length, 14, seed=2)
         meas = MeasurementSet.from_samples(samples, positions, length)
         grid = ParameterGrid.single(2, (0.0, 16.0, 32.0))
-        points = grid.points()
-        mags = np.abs(_grid_estimates(meas, _kernel_matrix(meas, points), meas.values))
-        pair = _best_pair(meas, points, mags, ThresholdPolicy.relative(0.3).column_thresholds(mags))
+        kernels = _kernel_matrix(meas, grid)
+        mags = np.abs(_grid_estimates(meas, kernels, meas.values))
+        pair = _best_pair(meas, kernels, mags, ThresholdPolicy.relative(0.3).column_thresholds(mags))
         assert pair is not None
-        got = {(points[pi].values[0], b) for pi, b, _ in pair}
+        got = {(grid.rates[pi, 0], b) for pi, b, _ in pair}
         assert got == {(0.0, 10), (32.0, 40)}
+        assert all(mag == mags[b, pi] for pi, b, mag in pair)
 
     def test_single_candidate_returns_none(self):
         meas, _ = chirp_measurements(length=32, count=32, coeffs=(5.0,))
-        grid = ParameterGrid.single(2, (0.0,))
-        points = grid.points()
-        mags = np.abs(_grid_estimates(meas, _kernel_matrix(meas, points), meas.values))
+        kernels = _kernel_matrix(meas, ParameterGrid.single(2, (0.0,)))
+        mags = np.abs(_grid_estimates(meas, kernels, meas.values))
         # ratio 1.0 keeps only the single maximal bin
         thresholds = ThresholdPolicy.relative(1.0).column_thresholds(mags)
-        assert _best_pair(meas, points, mags, thresholds) is None
+        assert _best_pair(meas, kernels, mags, thresholds) is None
 
 
 class TestReconstruct:
