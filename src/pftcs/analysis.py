@@ -40,6 +40,10 @@ __all__ = [
     "phase_transition",
 ]
 
+# Relative reconstruction error energy below which a phase-transition trial
+# counts as an exact recovery.
+SUCCESS_TOL = 1e-10
+
 
 def snr_db(reference, estimate) -> float:
     """``10 log10`` of reference energy over error energy (inf if exact)."""
@@ -200,17 +204,17 @@ def _draw_components(rng: np.random.Generator, k: int, length: int, rate_values)
 
 
 def phase_transition(k_values, n_values, trials: int, seed: int,
-                     length: int = 128, rate_values=None,
-                     policy: ThresholdPolicy | None = None,
-                     success_tol: float = 1e-10) -> PhaseTransitionGrid:
+                     length: int = 128, rate_values=None) -> PhaseTransitionGrid:
     """Map the exact-recovery success fraction over component/measurement counts.
 
     Each trial draws ``K`` unit chirps with distinct (bin, rate) pairs, the
     rates uniform over ``rate_values`` (default the 8 values ``i * length/2``),
     measures ``N`` noiseless samples, and recovers with exact pursuit capped
-    at ``N // 2`` components.  Success means the reconstruction's relative
-    error energy is below ``success_tol``; rank-deficient fits count as
-    failures.  Trial streams are seeded by ``(seed, K, N, trial)``.
+    at ``N // 2`` components; exact pursuit does not depend on the threshold
+    policy.  Success means the reconstruction's relative error energy is
+    below ``SUCCESS_TOL``; rank-deficient fits count as failures.  Trial
+    streams are seeded by ``(seed, K, N, trial)``.  ``K`` may not exceed the
+    ``length * len(rate_values)`` distinct pairs.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -218,19 +222,22 @@ def phase_transition(k_values, n_values, trials: int, seed: int,
     n_values = tuple(int(n) for n in n_values)
     if any(k < 1 for k in k_values) or any(n < 2 for n in n_values):
         raise ValueError("component counts must be >= 1 and measurement counts >= 2")
+    if max(n_values, default=0) > length:
+        raise ValueError(f"measurement count {max(n_values)} exceeds signal length {length}")
     if rate_values is None:
         rate_values = tuple(float(i * length / 2) for i in range(8))
     else:
         rate_values = tuple(float(v) for v in rate_values)
-    if policy is None:
-        policy = ThresholdPolicy.relative(0.5)
     grid = ParameterGrid.single(2, rate_values)
+    n_pairs = length * len(rate_values)
+    if max(k_values, default=0) > n_pairs:
+        raise ValueError(f"{max(k_values)} components exceed the {n_pairs} distinct "
+                         f"(bin, rate) pairs of length {length} and {len(rate_values)} rates")
+    policy = ThresholdPolicy.relative(0.5)  # scores the sweep records only
 
     success = np.zeros((len(k_values), len(n_values)))
     for i, k in enumerate(k_values):
         for j, n in enumerate(n_values):
-            if n > length:
-                raise ValueError(f"measurement count {n} exceeds signal length {length}")
             config = RecoverConfig(max_components=max(1, n // 2), pursuit="exact")
             wins = 0
             for trial in range(trials):
@@ -244,7 +251,7 @@ def phase_transition(k_values, n_values, trials: int, seed: int,
                     result = recover(meas, grid, policy, config, reference=clean)
                 except RankDeficiencyError:
                     continue
-                if result.residual_energy_ratio < success_tol:
+                if result.residual_energy_ratio < SUCCESS_TOL:
                     wins += 1
             success[i, j] = wins / trials
     return PhaseTransitionGrid(k_values, n_values, success, trials, length,

@@ -286,14 +286,28 @@ def _read(sections) -> ExperimentConfig:
         )
         if config.pt_trials < 1:
             raise ConfigError("[phase_transition] trials must be positive")
+        for key, values in (("components", config.pt_components), ("counts", config.pt_counts)):
+            if not values:
+                raise ConfigError(f"[phase_transition] {key}: needs at least one value")
+        length = config.pt_length
         for n in config.pt_counts:
-            if n > config.pt_length:
-                raise ConfigError(
-                    f"[phase_transition] measurement count {n} exceeds signal length {config.pt_length}"
-                )
+            if not 2 <= n <= length:
+                raise ConfigError(f"[phase_transition] counts: measurement count {n} is below 2 "
+                                  f"or exceeds signal length {length}")
+        if config.pt_rates is not None:
+            try:
+                ParameterGrid.single(2, config.pt_rates)
+            except ValueError as exc:
+                raise ConfigError(f"[phase_transition] rates: {exc}") from None
         # phase_transition's default grid has 8 rates
         n_rates = 8 if config.pt_rates is None else len(config.pt_rates)
-        _check_cells("[phase_transition] length and rates", config.pt_length, n_rates)
+        for k in config.pt_components:
+            if not 1 <= k <= length * n_rates:
+                raise ConfigError(
+                    f"[phase_transition] components: {k} is outside 1..{length * n_rates}, "
+                    f"the distinct (bin, rate) pairs of length {length} and {n_rates} rates"
+                )
+        _check_cells("[phase_transition] length and rates", length, n_rates)
         return config
 
     signal = _require(sections, "signal")

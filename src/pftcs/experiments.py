@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import csvio
-from .analysis import PhaseTransitionGrid, phase_transition, snr_experiment
+from .analysis import phase_transition, snr_experiment
 from .config import ConfigError, ExperimentConfig
 from .lpft import lpft_cs_estimate, lpft_recover
 from .model import (
@@ -233,15 +233,8 @@ def _run_snr_table(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
 
 
 def _run_phase_transition(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
-    parts = [
-        phase_transition((k,), config.pt_counts, config.pt_trials, config.pt_seed,
-                         config.pt_length, config.pt_rates)
-        for k in config.pt_components
-    ]
-    success = np.vstack([part.success for part in parts])
-    grid = PhaseTransitionGrid(tuple(config.pt_components), tuple(config.pt_counts),
-                               success, config.pt_trials, config.pt_length,
-                               parts[0].rate_values, config.pt_seed)
+    grid = phase_transition(config.pt_components, config.pt_counts, config.pt_trials,
+                            config.pt_seed, config.pt_length, config.pt_rates)
 
     files = []
     _write(files, out_dir, "phase_transition.csv", csvio.write_phase_transition_csv, grid)

@@ -41,7 +41,7 @@ __all__ = [
 
 # Condition-number ceiling for the normal equations of the amplitude solve.
 COND_LIMIT = 1e12
-# Strongest threshold-passing cells that :func:`_best_pair` pairs up.
+# Strongest positive cells that :func:`_best_pair` pairs up.
 PAIR_POOL = 40
 # Support entries whose amplitude is at most this fraction of the strongest
 # are pruned after the pursuit.
@@ -222,9 +222,11 @@ class RecoverConfig:
     ``max_components`` caps the support (default ``max(1, N-1)``, which keeps
     a residual degree of freedom so spurious columns can be pruned; a square
     fit reproduces any measurement vector).  ``pursuit`` selects between
-    stopping when nothing clears the threshold (``"threshold"``) and pushing
-    single best candidates until the measurement residual is numerically
-    zero (``"exact"``, for noiseless data).
+    admitting threshold survivors until none is left (``"threshold"``) and
+    orthogonal matching pursuit, which admits the single strongest cell per
+    round, threshold or not, until the measurement residual is numerically
+    zero (``"exact"``, for noiseless data; the threshold policy does not
+    change what it recovers).
     """
 
     max_components: int | None = None
@@ -425,20 +427,19 @@ def _residual_ratio(left, y) -> float:
     return _energy(left / scale) / _energy(y / scale)
 
 
-def _best_pair(meas: MeasurementSet, kernels: np.ndarray, mags: np.ndarray,
-               thresholds: np.ndarray):
-    """Strongest two-atom joint fit among the threshold-passing cells of ``mags``.
+def _best_pair(meas: MeasurementSet, kernels: np.ndarray, mags: np.ndarray):
+    """Strongest two-atom joint fit among the strongest positive cells of ``mags``.
 
     Components of comparable strength can all sit below the largest clutter
     value of a sparse estimate, in which case no single-atom greedy start
     recovers them; a joint two-atom fit is far more selective because only
     the true pair drives the residual toward zero.  Returns the best pair as
     ``[(point_index, bin, magnitude), ...]`` or ``None`` when fewer than two
-    candidates pass.  ``mags`` is the estimate of the measurements and
-    ``kernels`` the (N, G) kernel matrix.  The pool is capped at
-    ``PAIR_POOL`` cells and nearly collinear pairs are skipped.
+    cells are positive.  ``mags`` is the estimate of the measurements and
+    ``kernels`` the (N, G) kernel matrix.  The pool is the ``PAIR_POOL``
+    strongest cells and nearly collinear pairs are skipped.
     """
-    bins, cols = _ranked_hits(mags, thresholds)
+    bins, cols = _ranked_hits(mags, 0.0)
     bins, cols = bins[:PAIR_POOL], cols[:PAIR_POOL]
     if bins.size < 2:
         return None
@@ -465,22 +466,24 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
             config: RecoverConfig | None = None, reference=None) -> RecoveryResult:
     """Full pipeline: sweep, detect, joint amplitude correction, reconstruct.
 
-    Component discovery is a growth-only pursuit: each round detects every
-    bin above the policy threshold across all grid points of the current
-    measurement residual, extends the support, re-solves the joint least
-    squares, and subtracts the fit; a pass ends when the residual vanishes,
-    the support is full, or nothing is left to admit.  In exact-pursuit mode
-    a round with no threshold survivors admits the single strongest
-    remaining candidate instead, so noiseless on-grid signals are driven to
-    a numerically zero residual, and a pass that misses is retried with one
-    admission per round and then seeded with the best two-atom fit.
-    Spurious support entries are pruned by relative amplitude afterwards.
+    Component discovery is a growth-only pursuit: each round estimates the
+    current measurement residual at all grid points, extends the support,
+    re-solves the joint least squares, and subtracts the fit; a pass ends
+    when the residual vanishes, the support is full, or nothing is left to
+    admit.  Threshold mode admits every cell at or above the policy
+    threshold per round.  Exact mode is orthogonal matching pursuit: it
+    admits the single strongest untried cell per round, whatever the
+    threshold, so noiseless on-grid signals are driven to a numerically
+    zero residual, and a pass that misses is restarted once from the best
+    two-atom fit.  The policy then only scores the sweep records.  Spurious
+    support entries are pruned by relative amplitude afterwards.
 
     An empty detection yields an empty result, not an error; rank problems
     in the amplitude solve propagate as :class:`RankDeficiencyError`.  The
     result carries the :func:`sweep` records of the measurements in ``sweep``.
     """
     cfg = config or RecoverConfig()
+    exact = cfg.pursuit == "exact"
     m_len, n_meas = meas.signal_length, meas.count
     kernels = _kernel_matrix(meas, grid)
     y = meas.values
@@ -511,13 +514,12 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
         except RankDeficiencyError:
             return None
 
-    def pursue(per_round, seed=()):
+    def pursue(seed=()):
         """One growth-only pass; returns (support, amps, residual, ratio).
 
-        ``per_round`` caps the admissions per round (``None``: every
-        candidate that extends the fit).  Each admission re-solves the joint
-        least squares over a superset of the previous support, so the
-        residual never grows and the last fit is the pass's best.
+        Each admission re-solves the joint least squares over a superset of
+        the previous support, so the residual never grows and the last fit
+        is the pass's best.
         """
         support = []      # [(point_index, bin, raw_magnitude)]
         tried = np.zeros(first.shape, dtype=bool)  # cells never considered twice
@@ -539,26 +541,16 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
                 break
             if support:
                 mags = np.abs(_grid_estimates(meas, kernels, residual))
-                thresholds = policy.column_thresholds(mags)
+                thresholds = 0.0 if exact else policy.column_thresholds(mags)
             else:  # the residual is still y
-                mags, thresholds = first, first_thresholds
+                mags, thresholds = first, 0.0 if exact else first_thresholds
             bins, cols = _ranked_hits(mags, thresholds, tried)
-            batch = list(zip(bins.tolist(), cols.tolist()))
-            if not batch and cfg.pursuit == "exact":
-                flat = np.argsort(mags, axis=None)[::-1]
-                for flat_idx in flat:
-                    b, pi = np.unravel_index(flat_idx, mags.shape)
-                    if mags[b, pi] > 0.0 and not tried[b, pi]:
-                        batch = [(int(b), int(pi))]
-                        break
-            if not batch:
+            if not bins.size:
                 break
             # grow the support with this round's strongest candidates
             admitted = 0
-            limit = cap - len(support)
-            if per_round is not None:
-                limit = min(limit, per_round)
-            for b, pi in batch:
+            limit = 1 if exact else cap - len(support)
+            for b, pi in zip(bins.tolist(), cols.tolist()):
                 if admitted >= limit or residual_ratio <= RESIDUAL_TOL:
                     break
                 tried[b, pi] = True
@@ -569,24 +561,14 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
                 admitted += 1
         return support, amps, residual, residual_ratio
 
-    def ratio_of(fit):
-        return fit[3]
-
-    best = pursue(None)
-    exact = cfg.pursuit == "exact"
-    if exact and ratio_of(best) > RESIDUAL_TOL and best[0] and cap > 1:
-        # restart with the complementary admission style: batch admission
-        # keeps true peaks prominent when clutter is dense, one-at-a-time
-        # admission avoids crowding when clutter is sparse; a miss under
-        # one style is often a hit under the other
-        best = min(best, pursue(1), key=ratio_of)
-    if exact and ratio_of(best) > RESIDUAL_TOL and cap >= 3:
-        # last resort: seed with the best joint two-atom fit instead of the
-        # single strongest cell, which rescues components of similar size
-        # that all sit just below the sparse estimate's clutter maximum
-        pair = _best_pair(meas, kernels, first, first_thresholds)
+    best = pursue()
+    if exact and best[3] > RESIDUAL_TOL and cap >= 3:
+        # seed with the best joint two-atom fit instead of the single
+        # strongest cell, which rescues components of similar size that all
+        # sit just below the sparse estimate's clutter maximum
+        pair = _best_pair(meas, kernels, first)
         if pair is not None:
-            best = min(best, pursue(None, seed=pair), key=ratio_of)
+            best = min(best, pursue(seed=pair), key=lambda fit: fit[3])
     support, amps, _, residual_ratio = best
 
     if support:

@@ -180,6 +180,13 @@ class TestPhaseTransition:
         with pytest.raises(ValueError):
             phase_transition((1,), (64,), trials=2, seed=1, length=32)
 
+    def test_more_components_than_pairs_rejected(self):
+        # 16 bins times 2 rates hold only 32 distinct (bin, rate) pairs
+        kwargs = dict(trials=1, seed=0, length=16, rate_values=(0.0, 8.0))
+        assert phase_transition((32,), (4,), **kwargs).k_values == (32,)
+        with pytest.raises(ValueError, match="33 components"):
+            phase_transition((33,), (4,), **kwargs)
+
     def test_fraction_accessor(self):
         grid = phase_transition((1,), (4, 8), trials=2, seed=2, length=32,
                                 rate_values=(0.0, 16.0))

@@ -224,6 +224,34 @@ class TestParseErrors:
                                               r"signal length 32 times 2 grid points"):
             parse_config_string(TINY_PT)
 
+    def test_phase_transition_components_bounded_by_pairs(self):
+        # 32 bins times 2 configured rates, or times the 8 default rates
+        def components(text, k):
+            return parse_config_string(text.replace("components = 1", f"components = {k}"))
+
+        assert components(TINY_PT, 64).pt_components == (64,)
+        with pytest.raises(ConfigError, match=r"\[phase_transition\] components: 65 "):
+            components(TINY_PT, 65)
+        no_rates = TINY_PT.replace("rates = 0 16\n", "")
+        assert components(no_rates, 256).pt_components == (256,)
+        with pytest.raises(ConfigError, match=r"\[phase_transition\] components: 257 "):
+            components(no_rates, 257)
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("components = 1", "components = 0", "components"),
+        ("components = 1", "components = 1 -2", "components"),
+        ("components = 1", "components =", "components"),
+        ("counts = 4 8", "counts =", "counts"),
+        ("counts = 4 8", "counts = 1 8", "counts"),
+        ("rates = 0 16", "rates = 16 0", "rates"),
+        ("rates = 0 16", "rates = 0 nan", "rates"),
+        ("rates = 0 16", "rates = 0 inf", "rates"),
+        ("rates = 0 16", "rates =", "rates"),
+    ])
+    def test_phase_transition_values_rejected(self, old, new, key):
+        with pytest.raises(ConfigError, match=rf"\[phase_transition\] {key}: "):
+            parse_config_string(TINY_PT.replace(old, new))
+
     def test_unknown_kind(self):
         text = TINY_RECOVER.replace("kind = sweep-recover", "kind = mystery")
         with pytest.raises(ConfigError, match="expected one of"):
@@ -502,6 +530,18 @@ class TestCliExitCodes:
         code = cli.main(["sample", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "needs an experiment kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, key", [
+        ("components = 1", "components = 0", "components"),
+        ("components = 1", "components = 65", "components"),
+        ("counts = 4 8", "counts = 1 8", "counts"),
+        ("rates = 0 16", "rates = 16 0", "rates"),
+    ])
+    def test_phase_transition_bad_values_are_2(self, tmp_path, capsys, old, new, key):
+        cfg = write_config(tmp_path, TINY_PT.replace(old, new))
+        code = cli.main(["phase-transition", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"[phase_transition] {key}: " in capsys.readouterr().err
 
     def test_missing_config_file_is_4(self, tmp_path, capsys):
         code = cli.main(["recover", "--config", str(tmp_path / "absent.cfg"),

@@ -734,6 +734,47 @@ class TestOriginShift:
         np.testing.assert_allclose(other.reconstructed, base.reconstructed, atol=1e-9 * scale)
 
 
+@st.composite
+def exact_cases(draw):
+    """Noiseless on-grid signal of 1-4 chirps, its mask, and a support cap."""
+    length = draw(st.sampled_from([32, 64]))
+    origin = draw(st.sampled_from([0, -(length // 2)]))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, length - 1), st.sampled_from(SCALE_RATES)),
+        min_size=1, max_size=4, unique=True,
+    ))
+    amps = draw(st.lists(
+        st.complex_numbers(min_magnitude=0.25, max_magnitude=4.0,
+                           allow_nan=False, allow_infinity=False),
+        min_size=len(pairs), max_size=len(pairs),
+    ))
+    comps = [PolyPhaseComponent(a, (float(b), -rate)) for (b, rate), a in zip(pairs, amps)]
+    samples = synthesize_components(comps, length, origin)
+    positions = select_measurements(length, draw(st.integers(4, length)), origin,
+                                    draw(st.integers(0, 2**32 - 1)))
+    meas = MeasurementSet.from_samples(samples, positions, length, origin)
+    cap = draw(st.sampled_from([None, 1, 2, 4, 8]))
+    return meas, RecoverConfig(max_components=cap, pursuit="exact")
+
+
+class TestExactPursuitPolicy:
+    """Exact pursuit ranks every positive cell, so the threshold policy only
+    scores the sweep records and never changes what is recovered."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(exact_cases())
+    def test_components_independent_of_policy(self, case):
+        meas, config = case
+        grid = ParameterGrid.single(2, SCALE_RATES)
+        results = []
+        for policy in (ThresholdPolicy.relative(0.5), ThresholdPolicy.statistic(0.99)):
+            try:
+                results.append(recover(meas, grid, policy, config).components)
+            except RankDeficiencyError as exc:
+                results.append(str(exc))
+        assert results[0] == results[1]
+
+
 class TestBestPair:
     def test_finds_true_pair(self):
         length = 64
@@ -747,7 +788,7 @@ class TestBestPair:
         grid = ParameterGrid.single(2, (0.0, 16.0, 32.0))
         kernels = _kernel_matrix(meas, grid)
         mags = np.abs(_grid_estimates(meas, kernels, meas.values))
-        pair = _best_pair(meas, kernels, mags, ThresholdPolicy.relative(0.3).column_thresholds(mags))
+        pair = _best_pair(meas, kernels, mags)
         assert pair is not None
         got = {(grid.rates[pi, 0], b) for pi, b, _ in pair}
         assert got == {(0.0, 10), (32.0, 40)}
@@ -756,10 +797,11 @@ class TestBestPair:
     def test_single_candidate_returns_none(self):
         meas, _ = chirp_measurements(length=32, count=32, coeffs=(5.0,))
         kernels = _kernel_matrix(meas, ParameterGrid.single(2, (0.0,)))
-        mags = np.abs(_grid_estimates(meas, kernels, meas.values))
-        # ratio 1.0 keeps only the single maximal bin
-        thresholds = ThresholdPolicy.relative(1.0).column_thresholds(mags)
-        assert _best_pair(meas, kernels, mags, thresholds) is None
+        # a full-sampled tone leaves round-off in every bin, so the pool is
+        # cut down to the one positive cell by hand
+        mags = np.zeros((32, 1))
+        mags[5, 0] = 32.0
+        assert _best_pair(meas, kernels, mags) is None
 
 
 class TestReconstruct:
