@@ -11,6 +11,7 @@ from .analysis import (
     PhaseTransitionGrid,
     SnrReport,
     phase_transition,
+    relative_error,
     snr_db,
     snr_experiment,
     theoretical_snr_out,
@@ -44,7 +45,7 @@ from .recovery import (
     RankDeficiencyError,
     RecoverConfig,
     RecoveryResult,
-    SweepPoint,
+    SweepResult,
     ThresholdPolicy,
     amplitude_correction,
     cs_spectral_estimate,
@@ -85,7 +86,7 @@ __all__ = [
     "RecoveryResult",
     "SnrReport",
     "Spectrum",
-    "SweepPoint",
+    "SweepResult",
     "ThresholdPolicy",
     "WindowAssignment",
     "amplitude_correction",
@@ -106,6 +107,7 @@ __all__ = [
     "phase_transition",
     "reconstruct",
     "recover",
+    "relative_error",
     "run_experiment",
     "select_measurements",
     "snr_db",

@@ -32,6 +32,7 @@ from .recovery import (
 )
 
 __all__ = [
+    "relative_error",
     "snr_db",
     "theoretical_snr_out",
     "SnrReport",
@@ -45,17 +46,19 @@ __all__ = [
 SUCCESS_TOL = 1e-10
 
 
-def snr_db(reference, estimate) -> float:
-    """``10 log10`` of reference energy over error energy (inf if exact)."""
+def relative_error(reference, estimate) -> float:
+    """Error energy of ``estimate`` over the energy of ``reference``."""
     ref = np.asarray(reference, dtype=np.complex128)
-    err = np.asarray(estimate, dtype=np.complex128) - ref
     ref_energy = float(np.sum(np.abs(ref) ** 2))
-    err_energy = float(np.sum(np.abs(err) ** 2))
     if ref_energy <= 0.0:
         raise ValueError("reference signal has no energy")
-    if err_energy == 0.0:
-        return math.inf
-    return 10.0 * math.log10(ref_energy / err_energy)
+    return float(np.sum(np.abs(np.asarray(estimate) - ref) ** 2)) / ref_energy
+
+
+def snr_db(reference, estimate) -> float:
+    """``10 log10`` of reference energy over error energy (inf if exact)."""
+    ratio = relative_error(reference, estimate)
+    return -10.0 * math.log10(ratio) if ratio > 0.0 else math.inf
 
 
 def theoretical_snr_out(snr_in_db: float, k_components: int, n_measurements: int) -> float:
@@ -135,7 +138,7 @@ def snr_experiment(signal: MultiComponentSignal, snr_in_db: float,
         meas = MeasurementSet.from_samples(noisy, positions, signal.length,
                                            signal.index_origin)
         try:
-            result = recover(meas, grid, policy, config, reference=clean)
+            result = recover(meas, grid, policy, config)
         except RankDeficiencyError:
             failures += 1
             continue
@@ -146,7 +149,7 @@ def snr_experiment(signal: MultiComponentSignal, snr_in_db: float,
         if detected != truth:
             failures += 1
             continue
-        err = signal_energy * result.residual_energy_ratio
+        err = signal_energy * relative_error(clean, result.reconstructed)
         total_err += err
         per_trial.append(10.0 * math.log10(signal_energy / err) if err > 0 else math.inf)
 
@@ -233,7 +236,7 @@ def phase_transition(k_values, n_values, trials: int, seed: int,
     if max(k_values, default=0) > n_pairs:
         raise ValueError(f"{max(k_values)} components exceed the {n_pairs} distinct "
                          f"(bin, rate) pairs of length {length} and {len(rate_values)} rates")
-    policy = ThresholdPolicy.relative(0.5)  # scores the sweep records only
+    policy = ThresholdPolicy.relative(0.5)  # scores the sweep only
 
     success = np.zeros((len(k_values), len(n_values)))
     for i, k in enumerate(k_values):
@@ -248,10 +251,10 @@ def phase_transition(k_values, n_values, trials: int, seed: int,
                 positions = select_measurements(length, n, 0, rng)
                 meas = MeasurementSet.from_samples(clean, positions, length)
                 try:
-                    result = recover(meas, grid, policy, config, reference=clean)
+                    result = recover(meas, grid, policy, config)
                 except RankDeficiencyError:
                     continue
-                if result.residual_energy_ratio < SUCCESS_TOL:
+                if relative_error(clean, result.reconstructed) < SUCCESS_TOL:
                     wins += 1
             success[i, j] = wins / trials
     return PhaseTransitionGrid(k_values, n_values, success, trials, length,

@@ -24,6 +24,7 @@ from .experiments import (
     run_experiment,
     synthesize_config_signal,
     _measure,
+    _top_lines,
     _with_seed,
 )
 from .lpft import lpft_sweep
@@ -117,20 +118,14 @@ def _run_stage(args, config) -> list:
         lines.append(f"input SNR achieved: {achieved:.4f} dB")
     if args.command == "sample":
         return lines
-    orders = [order for order, _ in config.grid.orders]
     if config.kind == "lpft-recover":
-        points = lpft_sweep(meas, config.grid, config.window, config.policy)
+        swept = lpft_sweep(meas, config.grid, config.window, config.policy)
     else:
-        points = sweep(meas, config.grid, config.policy)
+        swept = sweep(meas, config.grid, config.policy)
     sweep_path = os.path.join(args.out, "sweep.csv")
-    write_sweep_csv(sweep_path, points, orders)
+    write_sweep_csv(sweep_path, swept)
     lines.append(f"wrote {sweep_path}")
-    for p in sorted(points, key=lambda q: -q.score)[:5]:
-        if p.score > 0:
-            rates = ", ".join(f"rate_p{o} {v:g}" for o, v in p.coeffs)
-            lines.append(f"  grid position {p.index + 1}: {rates}, "
-                         f"bin {p.peak_bin}, score {p.score:.6g}")
-    return lines
+    return lines + _top_lines(swept, 5)
 
 
 def main(argv=None) -> int:

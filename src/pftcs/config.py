@@ -10,6 +10,7 @@ syntax; lists are whitespace-separated.  All validation errors raise
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 
 from .model import NoiseSpec, PolyPhaseComponent
@@ -398,11 +399,16 @@ def _read(sections) -> ExperimentConfig:
         counts = snr_section.get_ints("counts", required=True)
         snr_trials = snr_section.get_int("trials", required=True)
         snr_seed = snr_section.get_int("seed", default=0)
+        for key, values in (("snr_in_db", snr_in), ("counts", counts)):
+            if not values:
+                raise ConfigError(f"[snr_table] {key}: needs at least one value")
         for n in counts:
-            if n > length:
-                raise ConfigError(
-                    f"[snr_table] measurement count {n} exceeds signal length {length}"
-                )
+            if not 1 <= n <= length:
+                raise ConfigError(f"[snr_table] counts: measurement count {n} is below 1 "
+                                  f"or exceeds signal length {length}")
+        for snr in snr_in:
+            if not math.isfinite(snr):
+                raise ConfigError(f"[snr_table] snr_in_db: {snr} is not finite")
 
     config = ExperimentConfig(
         kind=kind, label=label, signal_length=length, index_origin=origin,

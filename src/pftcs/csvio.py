@@ -17,7 +17,7 @@ import tempfile
 import numpy as np
 
 from .analysis import PhaseTransitionGrid, SnrReport
-from .recovery import DetectedComponent, SweepPoint
+from .recovery import DetectedComponent, SweepResult
 from .transform import KernelParams, Spectrum
 
 __all__ = [
@@ -115,24 +115,16 @@ def read_spectrum_csv(path) -> Spectrum:
     return Spectrum(np.array([complex(float(r[1]), float(r[2])) for r in rows]))
 
 
-def _rate_headers(orders) -> list:
-    return [f"rate_p{order}" for order in orders]
-
-
-def write_sweep_csv(path, points, orders):
+def write_sweep_csv(path, sweep: SweepResult):
     """Sweep scores; ``grid_index`` is 1-based, ``peak_bin`` empty when none."""
-    orders = [int(o) for o in orders]
+    grid = sweep.grid
 
     def emit(writer):
-        writer.writerow(["grid_index", *_rate_headers(orders), "peak_magnitude", "peak_bin"])
-        for point in points:
-            values = dict(point.coeffs)
-            writer.writerow([
-                point.index + 1,
-                *[_fmt(values[o]) for o in orders],
-                _fmt(point.score),
-                "" if point.peak_bin is None else int(point.peak_bin),
-            ])
+        writer.writerow(["grid_index", *[f"rate_p{order}" for order, _ in grid.orders],
+                         "peak_magnitude", "peak_bin"])
+        rows = zip(grid.rates.tolist(), sweep.scores.tolist(), sweep.peaks.tolist())
+        for g, (rates, score, peak) in enumerate(rows):
+            writer.writerow([g + 1, *map(_fmt, rates), _fmt(score), "" if peak < 0 else peak])
 
     _atomic_write(path, emit)
 

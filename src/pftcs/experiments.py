@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import csvio
-from .analysis import phase_transition, snr_experiment
+from .analysis import phase_transition, relative_error, snr_experiment
 from .config import ConfigError, ExperimentConfig
 from .lpft import lpft_cs_estimate, lpft_recover
 from .model import (
@@ -89,8 +89,17 @@ def _measure(config: ExperimentConfig, samples: np.ndarray) -> MeasurementSet:
                                        config.index_origin)
 
 
-def _rate_label(coeffs) -> str:
-    return ", ".join(f"rate_p{order} {value:g}" for order, value in coeffs)
+def _top_lines(swept, count, peak="bin", score="score") -> list:
+    """Summary lines of the ``count`` highest positive sweep scores,
+    strongest first; equal scores keep grid order."""
+    orders = [order for order, _ in swept.grid.orders]
+    lines = []
+    for g in np.argsort(-swept.scores, kind="stable")[:count].tolist():
+        if swept.scores[g] > 0:
+            rates = ", ".join(f"rate_p{o} {v:g}" for o, v in zip(orders, swept.grid.rates[g]))
+            lines.append(f"  grid position {g + 1}: {rates}, {peak} {swept.peaks[g]}, "
+                         f"{score} {swept.scores[g]:.6g}")
+    return lines
 
 
 def _write(files, out_dir, name, writer, *args):
@@ -99,44 +108,33 @@ def _write(files, out_dir, name, writer, *args):
     files.append(path)
 
 
-def _relative_error(reference, estimate) -> float:
-    ref = np.asarray(reference)
-    err_energy = float(np.sum(np.abs(np.asarray(estimate) - ref) ** 2))
-    return err_energy / float(np.sum(np.abs(ref) ** 2))
-
-
 def _run_sweep_recover(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
     clean = synthesize_config_signal(config)
     samples, achieved = apply_noise(clean, config.noise)
     meas = _measure(config, samples)
-    result = recover(meas, config.grid, config.policy, config.recover, reference=clean)
-    points = result.sweep
+    result = recover(meas, config.grid, config.policy, config.recover)
+    error = relative_error(clean, result.reconstructed)
+    swept = result.sweep
 
     files = []
-    orders = [order for order, _ in config.grid.orders]
     _write(files, out_dir, "signal.csv", csvio.write_signal_csv, clean, config.index_origin)
     _write(files, out_dir, "measurements.csv", csvio.write_measurements_csv, meas)
-    _write(files, out_dir, "sweep.csv", csvio.write_sweep_csv, points, orders)
+    _write(files, out_dir, "sweep.csv", csvio.write_sweep_csv, swept)
     _write(files, out_dir, "components.csv", csvio.write_components_csv, result.components)
     _write(files, out_dir, "reconstruction.csv", csvio.write_signal_csv,
            result.reconstructed, config.index_origin)
-    best = max(points, key=lambda p: p.score)
+    best = config.grid.params(np.argmax(swept.scores))
     _write(files, out_dir, "spectrum.csv", csvio.write_spectrum_csv,
-           cs_spectral_estimate(meas, best.params))
+           cs_spectral_estimate(meas, best))
 
     summary = [
         f"measurements: {meas.count} of {config.signal_length}",
     ]
     if config.noise.kind != "none":
         summary.append(f"input SNR achieved: {achieved:.4f} dB")
-    detected = [p for p in points if p.score > 0]
-    summary.append(f"sweep: {len(detected)} of {len(points)} grid points above threshold")
-    for p in sorted(points, key=lambda q: -q.score)[: max(1, len(result.components))]:
-        if p.score > 0:
-            summary.append(
-                f"  grid position {p.index + 1}: {_rate_label(p.coeffs)}, "
-                f"bin {p.peak_bin}, score {p.score:.6g}"
-            )
+    summary.append(f"sweep: {np.count_nonzero(swept.scores)} of {config.grid.n_points} "
+                   "grid points above threshold")
+    summary += _top_lines(swept, max(1, len(result.components)))
     for comp in result.components:
         rates = ", ".join(
             f"rate_p{i + 2} {-c + 0.0:g} (coeff {c:g})"
@@ -146,7 +144,7 @@ def _run_sweep_recover(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
         summary.append(
             f"component: bin {comp.freq_bin}, {rates}, amplitude {amp.real:.6g}{amp.imag:+.6g}j"
         )
-    summary.append(f"relative reconstruction error: {result.residual_energy_ratio:.6g}")
+    summary.append(f"relative reconstruction error: {error:.6g}")
     if result.offgrid_suspect:
         summary.append("warning: measurement residual is high; a component may be off-grid")
     return ExperimentOutcome(config.kind, config.label, tuple(summary), tuple(files))
@@ -171,20 +169,19 @@ def _run_lpft_recover(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
     samples, achieved = apply_noise(clean, config.noise)
     meas = _measure(config, samples)
     result = lpft_recover(meas, config.grid, config.window, config.policy)
-    points = result.sweep
-    error = _relative_error(clean, result.reconstructed)
+    error = relative_error(clean, result.reconstructed)
+    swept = result.sweep
 
     files = []
-    orders = [order for order, _ in config.grid.orders]
     _write(files, out_dir, "signal.csv", csvio.write_signal_csv, clean, config.index_origin)
     _write(files, out_dir, "measurements.csv", csvio.write_measurements_csv, meas)
-    _write(files, out_dir, "sweep.csv", csvio.write_sweep_csv, points, orders)
+    _write(files, out_dir, "sweep.csv", csvio.write_sweep_csv, swept)
     _write(files, out_dir, "assignments.csv", csvio.write_assignments_csv, result)
     _write(files, out_dir, "reconstruction.csv", csvio.write_signal_csv,
            result.reconstructed, config.index_origin)
-    best = max(points, key=lambda p: p.score)
+    best = config.grid.params(np.argmax(swept.scores))
     _write(files, out_dir, "spectrogram.csv", csvio.write_spectrogram_csv,
-           lpft_cs_estimate(meas, best.params, config.window))
+           lpft_cs_estimate(meas, best, config.window))
 
     summary = [
         f"measurements: {meas.count} of {config.signal_length} "
@@ -192,12 +189,7 @@ def _run_lpft_recover(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
     ]
     if config.noise.kind != "none":
         summary.append(f"input SNR achieved: {achieved:.4f} dB")
-    for p in sorted(points, key=lambda q: -q.score)[:5]:
-        if p.score > 0:
-            summary.append(
-                f"  grid position {p.index + 1}: {_rate_label(p.coeffs)}, "
-                f"peak bin {p.peak_bin}, projection score {p.score:.6g}"
-            )
+    summary += _top_lines(swept, 5, "peak bin", "projection score")
     for first, last, grid_index in _runs(result.assignments):
         label = "unassigned" if grid_index is None else f"grid position {grid_index + 1}"
         summary.append(f"windows {first}-{last}: {label}")

@@ -23,6 +23,7 @@ from .model import MeasurementSet
 from .recovery import (
     ParameterGrid,
     RankDeficiencyError,
+    SweepResult,
     ThresholdPolicy,
     _kernel_matrix,
     _ranked_hits,
@@ -128,21 +129,23 @@ def lpft_cs_estimate(meas: MeasurementSet, params: KernelParams, window: int) ->
 
 
 def lpft_sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,
-               policy: ThresholdPolicy) -> list:
+               policy: ThresholdPolicy) -> SweepResult:
     """Score each grid point by its cross-window detection projection.
 
     Per window, bins at or above the policy threshold keep their magnitude
     and everything else is zeroed; the surviving magnitudes are summed
-    across windows per bin and the score is the largest bin total.  A rate
-    matched anywhere accumulates over every window it occupies, so piecewise
-    constant rates still stand out against per-window clutter.
+    across windows per bin.  ``scores[g]`` is grid point ``g``'s largest bin
+    total (0 where nothing survives) and ``peaks[g]`` that bin (-1 where
+    none).  A rate matched anywhere accumulates over every window it
+    occupies, so piecewise constant rates still stand out against
+    per-window clutter.
     """
     return _sweep(meas, grid, window, policy)[0]
 
 
 def _sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,
            policy: ThresholdPolicy):
-    """:func:`lpft_sweep` records, the (N, G) demodulated samples, their
+    """:func:`lpft_sweep`'s result, the (N, G) demodulated samples, their
     (n_windows, W, G) spectrum magnitudes and the (n_windows, G) thresholds."""
     _check_window(window, meas.signal_length)
     weighted = meas.values[:, None] * _kernel_matrix(meas, grid)
@@ -174,7 +177,7 @@ class LpftRecoveryResult:
     assignments: tuple
     reconstructed: np.ndarray
     unassigned_windows: tuple
-    sweep: tuple
+    sweep: SweepResult
 
     @property
     def n_windows(self) -> int:
@@ -207,13 +210,15 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
     smallest computed relative residual is assigned.  A later candidate
     displaces the best only with a strictly smaller ratio, so candidates
     that tie in exact arithmetic are decided by the rounding of their
-    ratios, in either direction.  Windows with no measurements or no fitting candidate reconstruct as
-    zeros and are listed in ``unassigned_windows``.  The result carries the
-    :func:`lpft_sweep` records in ``sweep``.
+    ratios, in either direction.  Windows with no measurements or no
+    fitting candidate reconstruct as zeros and are listed in
+    ``unassigned_windows``.  The result carries the :func:`lpft_sweep`
+    result in ``sweep``; compare ``reconstructed`` with a reference by
+    :func:`pftcs.analysis.relative_error`.
     """
     length = meas.signal_length
-    records, weighted, mags, thresholds = _sweep(meas, grid, window, policy)
-    cands = np.array([p.index for p in records if p.score > 0], dtype=np.intp)
+    swept, weighted, mags, thresholds = _sweep(meas, grid, window, policy)
+    cands = np.flatnonzero(swept.scores > 0)
     owner = _window_of(meas, window)
     offsets = np.arange(window)
     table = np.exp(2j * np.pi * (np.outer(offsets, offsets) % window) / window)
@@ -238,16 +243,15 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
                 except RankDeficiencyError:
                     continue
                 if best is None or ratio < best[0]:
-                    best = (ratio, records[g], chosen, amps)
+                    best = (ratio, g, chosen, amps)
         if best is None:
             assignments.append(WindowAssignment(b, start, None, None, (), (), None))
             unassigned.append(b)
             continue
-        ratio, cand, bins, amps = best
-        assignments.append(WindowAssignment(b, start, cand.index, cand.params,
-                                            tuple(bins.tolist()),
+        ratio, g, bins, amps = best
+        params = grid.params(g)
+        assignments.append(WindowAssignment(b, start, g, params, tuple(bins.tolist()),
                                             tuple(complex(a) for a in amps), ratio))
-        inv = np.conj(kernel_values_at(cand.params, start + offsets, length))
+        inv = np.conj(kernel_values_at(params, start + offsets, length))
         reconstructed[b * window:(b + 1) * window] = inv * (table[:, bins] @ amps)
-    return LpftRecoveryResult(tuple(assignments), reconstructed, tuple(unassigned),
-                              tuple(records))
+    return LpftRecoveryResult(tuple(assignments), reconstructed, tuple(unassigned), swept)

@@ -28,7 +28,7 @@ __all__ = [
     "ParameterGrid",
     "ThresholdPolicy",
     "DetectedComponent",
-    "SweepPoint",
+    "SweepResult",
     "RecoverConfig",
     "RecoveryResult",
     "cs_spectral_estimate",
@@ -127,6 +127,13 @@ class ParameterGrid:
     def n_points(self) -> int:
         return self.rates.shape[0]
 
+    def params(self, g) -> KernelParams:
+        """Kernel coefficients of grid point ``g``: ``-rate`` for each swept
+        order, 0 for the orders below the highest that the grid does not sweep."""
+        coeffs = np.zeros(self.orders[-1][0] - 1)
+        coeffs[[order - 2 for order, _ in self.orders]] = -self.rates[g]
+        return KernelParams(tuple(coeffs.tolist()))
+
 
 @dataclass(frozen=True)
 class ThresholdPolicy:
@@ -204,15 +211,15 @@ class DetectedComponent:
         return self.params.full_coeffs(linear=self.freq_bin)
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """Sweep record: grid point, its top surviving peak, and the peak bin."""
+@dataclass(frozen=True, eq=False)
+class SweepResult:
+    """Sweep scores over a grid: ``scores[g]`` is grid point ``g``'s top
+    surviving peak (0 where none survives) and ``peaks[g]`` its bin (-1
+    where none)."""
 
-    index: int
-    coeffs: tuple
-    params: KernelParams
-    score: float
-    peak_bin: int | None
+    grid: ParameterGrid
+    scores: np.ndarray
+    peaks: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -247,8 +254,7 @@ class RecoveryResult:
     reconstructed: np.ndarray
     measurement_residual_ratio: float
     offgrid_suspect: bool
-    residual_energy_ratio: float | None = None
-    sweep: tuple = ()
+    sweep: SweepResult
 
 
 def _check_estimate_cells(length: int, n_points: int):
@@ -351,21 +357,20 @@ def _grid_estimates(meas: MeasurementSet, kernels: np.ndarray, values: np.ndarra
     return _scatter_spectra(meas, values[:, None] * kernels)[0]
 
 
-def sweep(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy) -> list:
-    """Single-pass sweep: per grid point, the top surviving peak (0 if none)."""
+def sweep(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy) -> SweepResult:
+    """Single-pass sweep: per grid point, the top peak at or above its
+    column's policy threshold (0 where none) and its bin (-1 where none;
+    ties go to the lower bin)."""
     mags = np.abs(_grid_estimates(meas, _kernel_matrix(meas, grid), meas.values))
     return _sweep_records(grid, mags, policy.column_thresholds(mags))
 
 
-def _sweep_records(grid: ParameterGrid, mags: np.ndarray, thresholds: np.ndarray) -> list:
+def _sweep_records(grid: ParameterGrid, mags: np.ndarray, thresholds) -> SweepResult:
+    """Top cell of every column of ``mags`` that reaches its threshold."""
     peaks = np.argmax(mags, axis=0)  # ties go to the lower bin
     top = mags[peaks, np.arange(mags.shape[1])]
-    scores = np.where(top >= thresholds, top, 0.0).tolist()
-    orders = [order for order, _ in grid.orders]
-    higher = _kernel_coeffs(grid)[1:].T.tolist()
-    return [SweepPoint(g, tuple(zip(orders, rates)), KernelParams(tuple(higher[g])), scores[g],
-                       int(peaks[g]) if scores[g] > 0 else None)
-            for g, rates in enumerate(grid.rates.tolist())]
+    scores = np.where(top >= thresholds, top, 0.0)
+    return SweepResult(grid, scores, np.where(scores > 0, peaks, -1))
 
 
 def _solve_amplitudes(atoms: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -463,7 +468,7 @@ def _best_pair(meas: MeasurementSet, kernels: np.ndarray, mags: np.ndarray):
 
 
 def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
-            config: RecoverConfig | None = None, reference=None) -> RecoveryResult:
+            config: RecoverConfig | None = None) -> RecoveryResult:
     """Full pipeline: sweep, detect, joint amplitude correction, reconstruct.
 
     Component discovery is a growth-only pursuit: each round estimates the
@@ -475,12 +480,14 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     admits the single strongest untried cell per round, whatever the
     threshold, so noiseless on-grid signals are driven to a numerically
     zero residual, and a pass that misses is restarted once from the best
-    two-atom fit.  The policy then only scores the sweep records.  Spurious
-    support entries are pruned by relative amplitude afterwards.
+    two-atom fit.  The policy then only scores the sweep.  Spurious support
+    entries are pruned by relative amplitude afterwards.
 
     An empty detection yields an empty result, not an error; rank problems
     in the amplitude solve propagate as :class:`RankDeficiencyError`.  The
-    result carries the :func:`sweep` records of the measurements in ``sweep``.
+    result carries the :func:`sweep` of the measurements in ``sweep``;
+    compare ``reconstructed`` with a reference by
+    :func:`pftcs.analysis.relative_error`.
     """
     cfg = config or RecoverConfig()
     exact = cfg.pursuit == "exact"
@@ -491,7 +498,7 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     cap = cfg.max_components if cfg.max_components is not None else max(1, min(m_len, n_meas - 1))
     first = np.abs(_grid_estimates(meas, kernels, y))
     first_thresholds = policy.column_thresholds(first)
-    records = tuple(_sweep_records(grid, first, first_thresholds))
+    swept = _sweep_records(grid, first, first_thresholds)
 
     def refit(entries):
         cols, bins, _ = zip(*entries)
@@ -583,14 +590,10 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     order = sorted(range(len(support)),
                    key=lambda i: (-support[i][2], support[i][0], support[i][1]))
     components = tuple(
-        DetectedComponent(records[support[i][0]].params, support[i][1],
+        DetectedComponent(grid.params(support[i][0]), support[i][1],
                           support[i][2], complex(amps[i]))
         for i in order
     )
     reconstructed = reconstruct(components, m_len, meas.index_origin)
-    ratio = None
-    if reference is not None:
-        ref = np.asarray(reference, dtype=np.complex128)
-        ratio = _energy(ref - reconstructed) / _energy(ref)
     return RecoveryResult(components, reconstructed, residual_ratio,
-                          residual_ratio > OFFGRID_RESIDUAL, ratio, records)
+                          residual_ratio > OFFGRID_RESIDUAL, swept)

@@ -11,6 +11,7 @@ from pftcs import (
     PolyPhaseComponent,
     ThresholdPolicy,
     phase_transition,
+    relative_error,
     snr_db,
     snr_experiment,
     theoretical_snr_out,
@@ -31,6 +32,19 @@ class TestSnrDb:
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError):
             snr_db([0.0, 0.0], [1.0, 0.0])
+
+
+class TestRelativeError:
+    def test_known_ratio(self):
+        # reference energy 4, error energy 1
+        assert relative_error([2.0, 0.0], [2.0, 1j]) == 0.25
+
+    def test_exact_estimate_is_zero(self):
+        assert relative_error([1.0, 2j], [1.0, 2j]) == 0.0
+
+    def test_zero_reference_rejected(self):
+        with pytest.raises(ValueError, match="reference signal has no energy"):
+            relative_error([0.0, 0.0], [1.0, 0.0])
 
 
 class TestTheory:

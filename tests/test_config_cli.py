@@ -109,6 +109,42 @@ rates = 0 16
 
 TINY = {"recover": TINY_RECOVER, "lpft": TINY_LPFT, "snr": TINY_SNR, "pt": TINY_PT}
 
+# Two components that cancel exactly: the clean reference has zero energy.
+CANCELLING = """\
+[signal]
+length = 64
+
+[component.1]
+amplitude = 1
+coeffs = 3 8
+
+[component.2]
+amplitude = -1
+coeffs = 3 8
+
+[sampling]
+count = 16
+seed = 1
+
+[grid]
+degree = 2
+values = -8 0 8
+
+[policy]
+kind = relative-to-max
+ratio = 0.5
+"""
+
+BAD_SNR_TABLE = [
+    ("counts = 32", "counts = 0", "counts"),
+    ("counts = 32", "counts = -3", "counts"),
+    ("counts = 32", "counts = 65", "counts"),
+    ("counts = 32", "counts =", "counts"),
+    ("snr_in_db = 10", "snr_in_db = inf", "snr_in_db"),
+    ("snr_in_db = 10", "snr_in_db = nan", "snr_in_db"),
+    ("snr_in_db = 10", "snr_in_db =", "snr_in_db"),
+]
+
 
 def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -251,6 +287,11 @@ class TestParseErrors:
     def test_phase_transition_values_rejected(self, old, new, key):
         with pytest.raises(ConfigError, match=rf"\[phase_transition\] {key}: "):
             parse_config_string(TINY_PT.replace(old, new))
+
+    @pytest.mark.parametrize("old, new, key", BAD_SNR_TABLE)
+    def test_snr_table_values_rejected(self, old, new, key):
+        with pytest.raises(ConfigError, match=rf"\[snr_table\] {key}: "):
+            parse_config_string(TINY_SNR.replace(old, new))
 
     def test_unknown_kind(self):
         text = TINY_RECOVER.replace("kind = sweep-recover", "kind = mystery")
@@ -542,6 +583,27 @@ class TestCliExitCodes:
         code = cli.main(["phase-transition", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert f"[phase_transition] {key}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old, new, key", BAD_SNR_TABLE)
+    def test_snr_table_bad_values_are_2(self, tmp_path, capsys, old, new, key):
+        cfg = write_config(tmp_path, TINY_SNR.replace(old, new))
+        out = tmp_path / "o"
+        code = cli.main(["snr-table", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert f"[snr_table] {key}: " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, kind, extra", [
+        ("recover", "sweep-recover", ""),
+        ("lpft", "lpft-recover", "\n[lpft]\nwindow = 16\n"),
+    ])
+    def test_zero_energy_reference_is_3(self, tmp_path, capsys, command, kind, extra):
+        cfg = write_config(tmp_path, f"[experiment]\nkind = {kind}\n\n{CANCELLING}{extra}")
+        out = tmp_path / "o"
+        code = cli.main([command, "--config", cfg, "--out", str(out)])
+        assert code == 3
+        assert "computation error: reference signal has no energy" in capsys.readouterr().err
+        assert os.listdir(out) == []
 
     def test_missing_config_file_is_4(self, tmp_path, capsys):
         code = cli.main(["recover", "--config", str(tmp_path / "absent.cfg"),

@@ -10,7 +10,7 @@ from pftcs import (
     ParameterGrid,
     PolyPhaseComponent,
     Spectrum,
-    SweepPoint,
+    SweepResult,
     ThresholdPolicy,
     lpft_cs_estimate,
     lpft_recover,
@@ -90,38 +90,51 @@ class TestSpectrumCsv:
 
 
 class TestSweepCsv:
-    def make_points(self, sample_measurements):
+    def make_sweep(self, sample_measurements):
         meas, _ = sample_measurements
         grid = ParameterGrid.single(2, (0.0, 24.0, 32.0))
         return sweep(meas, grid, ThresholdPolicy.relative(0.5))
 
     def test_round_trip(self, tmp_path, sample_measurements):
-        points = self.make_points(sample_measurements)
+        found = self.make_sweep(sample_measurements)
         path = tmp_path / "sweep.csv"
-        csvio.write_sweep_csv(path, points, [2])
+        csvio.write_sweep_csv(path, found)
         orders, rows = csvio.read_sweep_csv(path)
         assert orders == [2]
-        assert len(rows) == len(points)
-        for point, (grid_index, values, score, peak_bin) in zip(points, rows):
-            assert grid_index == point.index + 1
-            assert values == tuple(v for _, v in point.coeffs)
-            assert score == point.score
-            assert peak_bin == point.peak_bin
+        assert len(rows) == found.grid.n_points
+        for g, (grid_index, values, score, peak_bin) in enumerate(rows):
+            assert grid_index == g + 1
+            assert values == tuple(found.grid.rates[g].tolist())
+            assert score == found.scores[g]
+            assert peak_bin == (None if found.peaks[g] < 0 else found.peaks[g])
 
     def test_grid_index_is_one_based_in_file(self, tmp_path, sample_measurements):
-        points = self.make_points(sample_measurements)
         path = tmp_path / "sweep.csv"
-        csvio.write_sweep_csv(path, points, [2])
+        csvio.write_sweep_csv(path, self.make_sweep(sample_measurements))
         lines = path.read_text().splitlines()
         assert lines[0].startswith("grid_index,rate_p2,")
         assert lines[1].startswith("1,")
 
     def test_missing_peak_bin_is_empty_cell(self, tmp_path):
-        point = SweepPoint(0, ((2, 8.0),), KernelParams((-8.0,)), 0.0, None)
+        found = SweepResult(ParameterGrid.single(2, (8.0,)), np.zeros(1), np.full(1, -1))
         path = tmp_path / "sweep.csv"
-        csvio.write_sweep_csv(path, [point], [2])
+        csvio.write_sweep_csv(path, found)
         _, rows = csvio.read_sweep_csv(path)
         assert rows[0][3] is None
+
+    def test_two_order_header_and_rows(self, tmp_path):
+        grid = ParameterGrid(((3, (5.0,)), (2, (-0.0, 1.0))))
+        found = SweepResult(grid, np.array([0.0, 2.5]), np.array([-1, 7]))
+        path = tmp_path / "sweep.csv"
+        csvio.write_sweep_csv(path, found)
+        assert path.read_text().splitlines() == [
+            "grid_index,rate_p2,rate_p3,peak_magnitude,peak_bin",
+            "1,-0.0,5.0,0.0,",
+            "2,1.0,5.0,2.5,7",
+        ]
+        orders, rows = csvio.read_sweep_csv(path)
+        assert orders == [2, 3]
+        assert rows == [(1, (-0.0, 5.0), 0.0, None), (2, (1.0, 5.0), 2.5, 7)]
 
 
 class TestComponentsCsv:

@@ -224,11 +224,11 @@ class TestLpftSweep:
         positions = per_window_mask(length, window, 16, origin, seed=3)
         meas = MeasurementSet.from_samples(x, positions, length, origin)
         grid = ParameterGrid.single(2, tuple(float(v) for v in range(0, 65, 8)))
-        points = lpft_sweep(meas, grid, window, ThresholdPolicy.relative(0.5))
-        ranked = sorted(points, key=lambda p: -p.score)
-        top_rates = {dict(p.coeffs)[2] for p in ranked[:2]}
+        scores = lpft_sweep(meas, grid, window, ThresholdPolicy.relative(0.5)).scores
+        ranked = np.argsort(-scores, kind="stable")
+        top_rates = {grid.rates[g, 0] for g in ranked[:2]}
         assert top_rates == {32.0, 56.0}
-        assert ranked[0].score > ranked[2].score
+        assert scores[ranked[0]] > scores[ranked[2]]
 
     def test_recover_returns_its_sweep(self):
         x, *_ = piecewise_signal()
@@ -237,15 +237,18 @@ class TestLpftSweep:
         meas = MeasurementSet.from_samples(x, positions, length, origin)
         grid = ParameterGrid.single(2, tuple(float(v) for v in range(0, 65, 8)))
         policy = ThresholdPolicy.relative(0.5)
-        points = lpft_sweep(meas, grid, window, policy)
+        found = lpft_sweep(meas, grid, window, policy)
         result = lpft_recover(meas, grid, window, policy)
-        assert result.sweep == tuple(points)
+        assert result.sweep.grid == grid
+        assert np.array_equal(result.sweep.scores, found.scores)
+        assert np.array_equal(result.sweep.peaks, found.peaks)
 
     def test_score_zero_means_no_bin(self):
         meas = MeasurementSet(np.arange(8), np.zeros(8, dtype=np.complex128), 32)
         grid = ParameterGrid.single(2, (0.0, 8.0))
-        points = lpft_sweep(meas, grid, 8, ThresholdPolicy.relative(0.5))
-        assert all(p.score == 0.0 and p.peak_bin is None for p in points)
+        found = lpft_sweep(meas, grid, 8, ThresholdPolicy.relative(0.5))
+        assert found.scores.tolist() == [0.0, 0.0]
+        assert found.peaks.tolist() == [-1, -1]
 
 
 def fourier_rows(offsets, window):
@@ -376,8 +379,7 @@ class TestLpftRecover:
         assert error < 1e-10
         assert result.unassigned_windows == ()
         # first half demodulates at rate 32, second half at rate 56
-        rates = [dict(result.sweep[a.grid_index].coeffs)[2]
-                 for a in result.assignments]
+        rates = [result.sweep.grid.rates[a.grid_index, 0] for a in result.assignments]
         assert rates[:4] == [32.0] * 4
         assert rates[4:] == [56.0] * 4
 

@@ -25,6 +25,7 @@ from pftcs import (
     pft,
     recover,
     reconstruct,
+    relative_error,
     select_measurements,
     sweep,
     synthesize_components,
@@ -36,6 +37,7 @@ from pftcs.recovery import (
     _best_pair,
     _column_median,
     _grid_estimates,
+    _kernel_coeffs,
     _kernel_matrix,
     _ranked_hits,
     _scatter_spectra,
@@ -61,11 +63,6 @@ def phase_atoms(meas, detected):
         np.exp(2j * np.pi * phase_cycles(c.phase_coeffs(), meas.positions, meas.signal_length))
         for c in detected
     ], axis=1)
-
-
-def grid_records(grid):
-    """The grid's :class:`SweepPoint` records, all scored zero."""
-    return _sweep_records(grid, np.zeros((1, grid.n_points)), 1.0)
 
 
 def chirp_measurements(length=64, count=24, seed=8, coeffs=(10.0, 24.0),
@@ -142,8 +139,7 @@ class TestAtomFactorization:
         meas, grid, cells = case
         cols, bins = (list(c) for c in zip(*cells))
         atoms = _atoms(meas, _kernel_matrix(meas, grid)[:, cols], bins)
-        records = grid_records(grid)
-        expected = phase_atoms(meas, [DetectedComponent(records[g].params, b, 1.0)
+        expected = phase_atoms(meas, [DetectedComponent(grid.params(g), b, 1.0)
                                       for g, b in cells])
         np.testing.assert_allclose(atoms, expected, rtol=0, atol=1e-12)
 
@@ -244,14 +240,14 @@ class TestArrayDetection:
     def test_matches_per_column_oracle(self, detect_bins_oracle, case):
         mags, exclude, policy = case
         thresholds = policy.column_thresholds(mags)
-        records = _sweep_records(ParameterGrid.single(2, range(mags.shape[1])), mags, thresholds)
+        found = _sweep_records(ParameterGrid.single(2, range(mags.shape[1])), mags, thresholds)
         expected = []
         for g in range(mags.shape[1]):
             threshold, bins = detect_bins_oracle(mags[:, g], policy)
             assert thresholds[g] == threshold
             assert detected_bins(mags[:, g], policy) == bins
-            top = (mags[bins[0], g], bins[0]) if bins else (0.0, None)
-            assert (records[g].score, records[g].peak_bin) == top
+            top = (mags[bins[0], g], bins[0]) if bins else (0.0, -1)
+            assert (found.scores[g], found.peaks[g]) == top
             expected += [(-mags[b, g], g, b) for b in bins if not exclude[b, g]]
         bins, cols = _ranked_hits(mags, thresholds, exclude)
         assert list(zip(cols.tolist(), bins.tolist())) == [(g, b) for _, g, b in sorted(expected)]
@@ -282,33 +278,37 @@ class TestParameterGrid:
         assert grid.rates[28].tolist() == [256.0]
 
     def test_kernel_params_negate_rates(self):
-        record, = grid_records(ParameterGrid(((2, (256.0,)), (3, (-32.0,)))))
-        assert record.coeffs == ((2, 256.0), (3, -32.0))
-        assert record.params == KernelParams((-256.0, 32.0))
+        grid = ParameterGrid(((2, (256.0,)), (3, (-32.0,))))
+        assert grid.rates.tolist() == [[256.0, -32.0]]
+        assert grid.params(0) == KernelParams((-256.0, 32.0))
 
     def test_missing_orders_fill_with_zero(self):
-        record, = grid_records(ParameterGrid.single(3, (16.0,)))
-        assert record.coeffs == ((3, 16.0),)
-        assert record.params == KernelParams((0.0, -16.0))
-        assert math.copysign(1.0, record.params.higher_coeffs[0]) == 1.0
+        params = ParameterGrid.single(3, (16.0,)).params(0)
+        assert params == KernelParams((0.0, -16.0))
+        assert math.copysign(1.0, params.higher_coeffs[0]) == 1.0
+
+    def test_params_match_kernel_coeffs(self):
+        # orders 2 and 4, so order 3 is a gap; rates of both zero signs
+        grid = ParameterGrid(((4, (-0.0, 3.0)), (2, (-8.0, 0.0, 2.5))))
+        coeffs = _kernel_coeffs(grid)
+        assert coeffs.shape == (4, 6)
+        for g in range(grid.n_points):
+            higher = np.array(grid.params(g).higher_coeffs)
+            assert higher.tobytes() == coeffs[1:, g].tobytes()
 
     def test_cross_product_enumeration(self):
         grid = ParameterGrid(((3, (5.0, 6.0, 7.0)), (2, (0.0, 1.0))))
         assert grid.n_points == 6
         assert grid.rates.tolist() == [[0.0, 5.0], [0.0, 6.0], [0.0, 7.0],
                                        [1.0, 5.0], [1.0, 6.0], [1.0, 7.0]]
-        records = grid_records(grid)
-        assert [p.index for p in records] == list(range(6))
-        assert [p.coeffs for p in records][::5] == [((2, 0.0), (3, 5.0)), ((2, 1.0), (3, 7.0))]
-        assert records[1].params == KernelParams((-0.0, -6.0))
+        assert grid.params(1) == KernelParams((-0.0, -6.0))
 
     def test_negative_zero_rate_keeps_its_sign(self, tmp_path):
         grid = ParameterGrid.single(2, (-0.0, 8.0))
-        record = grid_records(grid)[0]
-        assert math.copysign(1.0, dict(record.coeffs)[2]) == -1.0
-        assert math.copysign(1.0, record.params.higher_coeffs[0]) == 1.0
+        assert math.copysign(1.0, grid.rates[0, 0]) == -1.0
+        assert math.copysign(1.0, grid.params(0).higher_coeffs[0]) == 1.0
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, grid_records(grid), [2])
+        write_sweep_csv(path, _sweep_records(grid, np.zeros((1, grid.n_points)), 1.0))
         assert path.read_text().splitlines()[1] == "1,-0.0,0.0,"
 
     def test_equality_and_hash_by_orders(self):
@@ -431,11 +431,11 @@ class TestSweep:
     def test_matched_point_wins(self):
         meas, comp = chirp_measurements(length=128, count=32, seed=2,
                                         coeffs=(20.0, -24.0))
-        points = sweep(meas, self.grid(), ThresholdPolicy.relative(0.5))
-        best = max(points, key=lambda p: p.score)
+        found = sweep(meas, self.grid(), ThresholdPolicy.relative(0.5))
+        best = np.argmax(found.scores)
         # rate 24 demodulates the c2 = -24 component
-        assert dict(best.coeffs)[2] == pytest.approx(24.0)
-        assert best.peak_bin == 20
+        assert found.grid.rates[best, 0] == pytest.approx(24.0)
+        assert found.peaks[best] == 20
 
     def test_scores_scale_linearly_argmax_fixed(self):
         meas, _ = chirp_measurements(length=128, count=32, seed=2,
@@ -445,12 +445,9 @@ class TestSweep:
         for policy in (ThresholdPolicy.relative(0.5), ThresholdPolicy.statistic(0.999)):
             base = sweep(meas, self.grid(), policy)
             other = sweep(scaled, self.grid(), policy)
-            assert np.argmax([p.score for p in base]) == np.argmax(
-                [p.score for p in other]
-            )
-            for a, b in zip(base, other):
-                assert b.score == pytest.approx(3.0 * a.score, rel=1e-9)
-                assert a.peak_bin == b.peak_bin
+            assert np.argmax(base.scores) == np.argmax(other.scores)
+            assert other.scores == pytest.approx(3.0 * base.scores, rel=1e-9)
+            assert np.array_equal(base.peaks, other.peaks)
 
     @pytest.mark.parametrize("policy", [ThresholdPolicy.relative(0.5),
                                         ThresholdPolicy.statistic(0.999)])
@@ -460,15 +457,17 @@ class TestSweep:
         meas = MeasurementSet(meas.positions, scale * meas.values,
                               meas.signal_length, meas.index_origin)
         result = recover(meas, self.grid(), policy, RecoverConfig(pursuit="exact"))
-        assert result.sweep == tuple(sweep(meas, self.grid(), policy))
+        found = sweep(meas, self.grid(), policy)
+        assert result.sweep.grid == found.grid
+        assert np.array_equal(result.sweep.scores, found.scores)
+        assert np.array_equal(result.sweep.peaks, found.peaks)
 
     def test_no_detection_scores_zero(self):
         meas, _ = chirp_measurements(length=64, count=64, coeffs=(7.0, 16.0))
-        points = sweep(meas, ParameterGrid.single(2, (16.0,)),
-                       ThresholdPolicy.relative(1.0))
-        assert points[0].score > 0
-        zero = [p for p in points if p.score == 0.0]
-        assert all(p.peak_bin is None for p in zero)
+        found = sweep(meas, ParameterGrid.single(2, (16.0,)),
+                      ThresholdPolicy.relative(1.0))
+        assert found.scores[0] > 0
+        assert (found.peaks[found.scores == 0.0] == -1).all()
 
 
 class TestRecover:
@@ -478,14 +477,14 @@ class TestRecover:
     def test_single_component_exact(self):
         meas, comp = chirp_measurements(length=64, count=24, seed=6,
                                         coeffs=(10.0, -24.0), amplitude=2.0 - 1.0j)
-        result = recover(meas, self.grid(), ThresholdPolicy.relative(0.5),
-                         reference=synthesize_components([comp], 64))
+        result = recover(meas, self.grid(), ThresholdPolicy.relative(0.5))
         assert len(result.components) == 1
         found = result.components[0]
         assert found.freq_bin == 10
         assert found.params == KernelParams((-24.0,))
         assert found.corrected_amplitude == pytest.approx(2.0 - 1.0j, abs=1e-10)
-        assert result.residual_energy_ratio < 1e-20
+        reference = synthesize_components([comp], 64)
+        assert relative_error(reference, result.reconstructed) < 1e-20
         assert result.measurement_residual_ratio < 1e-20
         assert not result.offgrid_suspect
 
@@ -498,8 +497,7 @@ class TestRecover:
         samples = synthesize_components(comps, length)
         positions = select_measurements(length, 32, seed=1)
         meas = MeasurementSet.from_samples(samples, positions, length)
-        result = recover(meas, self.grid(), ThresholdPolicy.relative(0.5),
-                         reference=samples)
+        result = recover(meas, self.grid(), ThresholdPolicy.relative(0.5))
         assert len(result.components) == 2
         bins = sorted(c.freq_bin for c in result.components)
         assert bins == [10, 40]
@@ -517,10 +515,9 @@ class TestRecover:
         # the weak component hides below a relative threshold; exact mode
         # keeps pulling candidates until the residual is numerically zero
         config = RecoverConfig(max_components=8, pursuit="exact")
-        result = recover(meas, self.grid(), ThresholdPolicy.relative(0.5),
-                         config, reference=samples)
+        result = recover(meas, self.grid(), ThresholdPolicy.relative(0.5), config)
         assert result.measurement_residual_ratio < 1e-20
-        assert result.residual_energy_ratio < 1e-10
+        assert relative_error(samples, result.reconstructed) < 1e-10
 
     def test_max_components_cap(self):
         length = 64
@@ -568,9 +565,8 @@ class TestRecover:
         samples = synthesize_components([comp], length, index_origin=-32)
         positions = select_measurements(length, 24, index_origin=-32, seed=3)
         meas = MeasurementSet.from_samples(samples, positions, length, -32)
-        result = recover(meas, self.grid(), ThresholdPolicy.relative(0.5),
-                         reference=samples)
-        assert result.residual_energy_ratio < 1e-18
+        result = recover(meas, self.grid(), ThresholdPolicy.relative(0.5))
+        assert relative_error(samples, result.reconstructed) < 1e-18
         np.testing.assert_allclose(
             reconstruct(result.components, length, -32), samples, atol=1e-9
         )
@@ -628,9 +624,9 @@ class TestScaleInvariance:
     def test_sweep_peaks_fixed_scores_scale(self, case):
         meas, scaled, factor, policy = case
         grid = ParameterGrid.single(2, SCALE_RATES)
-        for a, b in zip(sweep(meas, grid, policy), sweep(scaled, grid, policy)):
-            assert b.peak_bin == a.peak_bin
-            assert b.score == factor * a.score
+        base, other = sweep(meas, grid, policy), sweep(scaled, grid, policy)
+        assert np.array_equal(other.peaks, base.peaks)
+        assert np.array_equal(other.scores, factor * base.scores)
 
     @settings(max_examples=40, deadline=None)
     @given(scaled_cases(), st.sampled_from(["threshold", "exact"]))
@@ -708,13 +704,13 @@ class TestOriginShift:
         tol = 1e-9 * mags[0].max()
         for g, v in enumerate(rates):
             np.testing.assert_allclose(mags[1][:, g], np.roll(mags[0][:, g], -v), atol=tol)
-        for v, a, c in zip(rates, sweep(zero, self.GRID, policy),
-                           sweep(centered, self.GRID, policy)):
-            assert c.score == pytest.approx(a.score, abs=tol)
-            if a.peak_bin is not None:
+        a, c = sweep(zero, self.GRID, policy), sweep(centered, self.GRID, policy)
+        for g, v in enumerate(rates):
+            assert c.scores[g] == pytest.approx(a.scores[g], abs=tol)
+            if a.peaks[g] >= 0:
                 # a tie may take either bin; its magnitude must be the peak's
-                assert mags[0][(c.peak_bin + v) % length, a.index] == pytest.approx(
-                    a.score, abs=tol)
+                assert mags[0][(c.peaks[g] + v) % length, g] == pytest.approx(
+                    a.scores[g], abs=tol)
 
     @settings(max_examples=40, deadline=None)
     @given(shifted_cases())
@@ -773,6 +769,44 @@ class TestExactPursuitPolicy:
             except RankDeficiencyError as exc:
                 results.append(str(exc))
         assert results[0] == results[1]
+
+
+PT_RATES = tuple(float(16 * i) for i in range(8))
+
+
+@st.composite
+def crowded_cases(draw):
+    """Noiseless length-32 signal of 1-4 chirps on an 8-rate grid, measured
+    by 2K to 6K samples: the underdetermined range of the phase-transition
+    map, where a pursuit admits atoms that the prune then removes."""
+    pairs = draw(st.lists(st.tuples(st.integers(0, 31), st.sampled_from(PT_RATES)),
+                          min_size=1, max_size=4, unique=True))
+    amps = draw(st.lists(
+        st.just(1.0) | st.complex_numbers(min_magnitude=0.25, max_magnitude=4.0,
+                                          allow_nan=False, allow_infinity=False),
+        min_size=len(pairs), max_size=len(pairs),
+    ))
+    comps = [PolyPhaseComponent(a, (float(b), -rate)) for (b, rate), a in zip(pairs, amps)]
+    count = draw(st.integers(2 * len(pairs), min(6 * len(pairs), 32)))
+    positions = select_measurements(32, count, 0, draw(st.integers(0, 2**32 - 1)))
+    return MeasurementSet.from_samples(synthesize_components(comps, 32), positions, 32)
+
+
+class TestPrune:
+    """Every returned component exceeds ``PRUNE_RATIO`` of the strongest
+    amplitude, in both pursuit modes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(crowded_cases(), st.sampled_from(["threshold", "exact"]),
+           st.sampled_from([ThresholdPolicy.relative(0.5), ThresholdPolicy.statistic(0.99)]))
+    def test_components_exceed_prune_ratio(self, meas, pursuit, policy):
+        config = RecoverConfig(max_components=max(1, meas.count // 2), pursuit=pursuit)
+        try:
+            result = recover(meas, ParameterGrid.single(2, PT_RATES), policy, config)
+        except RankDeficiencyError:
+            return
+        amps = np.abs([c.corrected_amplitude for c in result.components])
+        assert (amps > recovery.PRUNE_RATIO * amps.max(initial=0.0)).all()
 
 
 class TestBestPair:
