@@ -49,7 +49,6 @@ from .recovery import (
     ThresholdPolicy,
     amplitude_correction,
     cs_spectral_estimate,
-    detect_components,
     reconstruct,
     recover,
     sweep,
@@ -92,7 +91,6 @@ __all__ = [
     "amplitude_correction",
     "apply_noise",
     "cs_spectral_estimate",
-    "detect_components",
     "dft",
     "idft",
     "kernel_values_at",

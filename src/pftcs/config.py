@@ -144,6 +144,14 @@ def _component_from(section: _Section) -> PolyPhaseComponent:
         raise ConfigError(f"[{section.name}] {exc}") from None
 
 
+def _check_energy(name: str, component: PolyPhaseComponent, length: int):
+    """Reject an amplitude whose signal energy ``length * |amplitude|^2`` overflows."""
+    a = component.amplitude
+    # products, not ``**``, so that an overflow gives inf instead of raising
+    if not math.isfinite(length * (a.real * a.real + a.imag * a.imag)):
+        raise ConfigError(f"[{name}] amplitude: signal energy {length} * |{a}|^2 overflows")
+
+
 def _numbered_sections(sections, prefix):
     found = []
     for name in sections:
@@ -321,9 +329,11 @@ def _read(sections) -> ExperimentConfig:
     pieces = []
     for name in _numbered_sections(sections, "component"):
         components.append(_component_from(sections[name]))
+        _check_energy(name, components[-1], length)
     for name in _numbered_sections(sections, "piece"):
         section = sections[name]
         component = _component_from(section)
+        _check_energy(name, component, length)
         start = section.get_int("start", required=True)
         stop = section.get_int("stop", required=True)
         if stop <= start:

@@ -72,14 +72,11 @@ def _per_window_positions(config: ExperimentConfig) -> np.ndarray:
         raise ConfigError(
             f"[sampling] per-window count {count} must be between 1 and the window {window}"
         )
-    chunks = []
-    for b in range(config.signal_length // window):
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, b)))
-        start = config.index_origin + b * window
-        local = rng.choice(window, size=count, replace=False)
-        local.sort()
-        chunks.append(local.astype(np.int64) + start)
-    return np.concatenate(chunks)
+    return np.concatenate([
+        select_measurements(window, count, config.index_origin + b * window,
+                            np.random.SeedSequence((config.seed, b)))
+        for b in range(config.signal_length // window)
+    ])
 
 
 def _measure(config: ExperimentConfig, samples: np.ndarray) -> MeasurementSet:

@@ -121,7 +121,7 @@ def lpft_cs_estimate(meas: MeasurementSet, params: KernelParams, window: int) ->
     length = meas.signal_length
     _check_window(window, length)
     phi = kernel_values_at(params, meas.positions, length)
-    blocks = _scatter_spectra(meas, (meas.values * phi)[:, None], window)[:, :, 0]
+    blocks = _scatter_spectra(meas, (meas.values * phi)[:, None], window)[0]
     counts = _window_counts(meas, window)
     return LpftSpectrogram(blocks, window, length, meas.index_origin, params,
                            tuple(int(c) for c in counts),
@@ -146,14 +146,14 @@ def lpft_sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,
 def _sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,
            policy: ThresholdPolicy):
     """:func:`lpft_sweep`'s result, the (N, G) demodulated samples, their
-    (n_windows, W, G) spectrum magnitudes and the (n_windows, G) thresholds."""
+    (G, n_windows, W) spectrum magnitudes and the (G, n_windows) thresholds."""
     _check_window(window, meas.signal_length)
     weighted = meas.values[:, None] * _kernel_matrix(meas, grid)
     mags = np.abs(_scatter_spectra(meas, weighted, window))
     # an empty window is all zeros and detects nothing
-    thresholds = policy.column_thresholds(np.moveaxis(mags, 1, 0))
-    hits = (mags >= thresholds[:, None, :]) & (mags > 0.0)
-    projection = np.where(hits, mags, 0.0).sum(axis=0)
+    thresholds = policy.column_thresholds(mags)
+    hits = (mags >= thresholds[..., None]) & (mags > 0.0)
+    projection = np.where(hits, mags, 0.0).sum(axis=1)
     return _sweep_records(grid, projection, 0.0), weighted, mags, thresholds
 
 
@@ -233,7 +233,7 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
         if sel.size:
             cap = max(1, sel.size // 2 - 1)
             rows = table[meas.positions[sel] - start]
-            bins, cols = _ranked_hits(mags[b][:, cands], thresholds[b, cands])
+            cols, bins = _ranked_hits(mags[cands, b], thresholds[cands, b, None])
             for j, g in enumerate(cands.tolist()):
                 chosen = bins[cols == j][:cap]
                 if not chosen.size:

@@ -113,13 +113,6 @@ class MultiComponentSignal:
     def indices(self) -> np.ndarray:
         return np.arange(self.index_origin, self.index_origin + self.length)
 
-    def dominance_margin(self) -> float:
-        """M * min|r| - sum|r|; positive when the sparsity assumption holds."""
-        if not self.components:
-            return 0.0
-        mags = [abs(c.amplitude) for c in self.components]
-        return self.length * min(mags) - sum(mags)
-
 
 def synthesize(signal: MultiComponentSignal) -> np.ndarray:
     """Sample a multi-component signal on its full index range."""

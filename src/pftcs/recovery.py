@@ -32,7 +32,6 @@ __all__ = [
     "RecoverConfig",
     "RecoveryResult",
     "cs_spectral_estimate",
-    "detect_components",
     "sweep",
     "amplitude_correction",
     "reconstruct",
@@ -53,7 +52,7 @@ RESIDUAL_TOL = 1e-24
 OFFGRID_RESIDUAL = 1e-6
 # Most grid points a ParameterGrid may hold.
 MAX_GRID_POINTS = 1 << 16
-# Most cells (signal length M times grid points) of the complex (M, points)
+# Most cells (grid points times signal length M) of the complex (points, M)
 # estimate that every sweep round allocates: 256 MiB.
 MAX_ESTIMATE_CELLS = 1 << 24
 
@@ -128,11 +127,9 @@ class ParameterGrid:
         return self.rates.shape[0]
 
     def params(self, g) -> KernelParams:
-        """Kernel coefficients of grid point ``g``: ``-rate`` for each swept
-        order, 0 for the orders below the highest that the grid does not sweep."""
-        coeffs = np.zeros(self.orders[-1][0] - 1)
-        coeffs[[order - 2 for order, _ in self.orders]] = -self.rates[g]
-        return KernelParams(tuple(coeffs.tolist()))
+        """Kernel coefficients of grid point ``g``: column ``g`` of
+        :func:`_kernel_coeffs` without its linear term."""
+        return KernelParams(tuple(_kernel_coeffs(self)[1:, g].tolist()))
 
 
 @dataclass(frozen=True)
@@ -168,27 +165,24 @@ class ThresholdPolicy:
     def statistic(cls, confidence=0.99) -> "ThresholdPolicy":
         return cls("missing-sample-statistic", confidence=confidence)
 
-    def threshold(self, magnitudes) -> float:
-        mags = np.asarray(magnitudes, dtype=np.float64)
-        return float(self.column_thresholds(mags[:, None])[0]) if mags.size else 0.0
-
     def column_thresholds(self, mags: np.ndarray) -> np.ndarray:
-        """Threshold of every column of ``mags``: the rule applied along axis 0."""
+        """Threshold of every spectrum in ``mags``: the rule applied along
+        the last (bin) axis."""
         if self.kind == "relative-to-max":
-            return self.ratio * mags.max(axis=0)
+            return self.ratio * mags.max(axis=-1)
         sigma = _column_median(mags) / math.sqrt(2.0 * math.log(2.0))
-        return sigma * math.sqrt(2.0 * math.log(mags.shape[0] / (1.0 - self.confidence)))
+        return sigma * math.sqrt(2.0 * math.log(mags.shape[-1] / (1.0 - self.confidence)))
 
 
 def _column_median(mags: np.ndarray) -> np.ndarray:
-    """``np.median(mags, axis=0)``, bit for bit, from one single-kth partition."""
-    half = mags.shape[0] // 2
-    part = np.partition(mags, half, axis=0)
+    """``np.median(mags, axis=-1)``, bit for bit, from one single-kth partition."""
+    half = mags.shape[-1] // 2
+    part = np.partition(mags, half, axis=-1)
     # np.median averages the middle values by a sum that starts at +0.0,
     # which turns a -0.0 sum into +0.0
-    if mags.shape[0] % 2:
-        return part[half] + 0.0
-    return (part[:half].max(axis=0) + part[half] + 0.0) / 2
+    if mags.shape[-1] % 2:
+        return part[..., half] + 0.0
+    return (part[..., :half].max(axis=-1) + part[..., half] + 0.0) / 2
 
 
 @dataclass(frozen=True)
@@ -258,7 +252,7 @@ class RecoveryResult:
 
 
 def _check_estimate_cells(length: int, n_points: int):
-    """Raise ValueError when an (M, G) estimate would exceed ``MAX_ESTIMATE_CELLS``."""
+    """Raise ValueError when a (G, M) estimate would exceed ``MAX_ESTIMATE_CELLS``."""
     if length * n_points > MAX_ESTIMATE_CELLS:
         raise ValueError(f"signal length {length} times {n_points} grid points "
                          f"is more than {MAX_ESTIMATE_CELLS} estimate cells")
@@ -273,20 +267,22 @@ def _scatter_spectra(meas: MeasurementSet, weighted, window=None) -> np.ndarray:
     window ``b`` holding ``N_b`` samples gets
     ``(W/N_b) * sum_{j in b} weighted[j, g] * exp(-2j*pi*k*(q_j - b*W)/W)``,
     which is unbiased at a matched component's bin.  Windows with no
-    samples are zero.  Returns the (n_windows, W, G) array.
+    samples are zero.  Returns the (G, n_windows, W) array, grid point
+    first, so that its row-major order is the (grid point, bin) tie order.
     """
     m_len = meas.signal_length
-    _check_estimate_cells(m_len, weighted.shape[1])
+    n_points = weighted.shape[1]
+    _check_estimate_cells(m_len, n_points)
     window = m_len if window is None else window
     n_win = m_len // window
     q = meas.positions - meas.index_origin
-    full = np.zeros((m_len, weighted.shape[1]), dtype=np.complex128)
-    full[q, :] = weighted
-    spectra = np.fft.fft(full.reshape(n_win, window, -1), axis=1)
+    full = np.zeros((n_points, m_len), dtype=np.complex128)
+    full[:, q] = weighted.T
+    spectra = np.fft.fft(full.reshape(n_points, n_win, window), axis=-1)
     # the global estimate runs once per pursuit round; skip its bincount
     counts = np.bincount(q // window, minlength=n_win) if n_win > 1 else (meas.count,)
     for b, n_b in enumerate(counts):
-        spectra[b] *= window / max(int(n_b), 1)
+        spectra[:, b] *= window / max(int(n_b), 1)
     return spectra
 
 
@@ -297,32 +293,17 @@ def cs_spectral_estimate(meas: MeasurementSet, params: KernelParams) -> Spectrum
     with full data this is exactly the polynomial Fourier transform.
     """
     phi = kernel_values_at(params, meas.positions, meas.signal_length)
-    return Spectrum(_scatter_spectra(meas, (meas.values * phi)[:, None])[0, :, 0])
+    return Spectrum(_scatter_spectra(meas, (meas.values * phi)[:, None])[0, 0])
 
 
-def detect_components(est: Spectrum, policy: ThresholdPolicy, max_count=None,
-                      params: KernelParams = KernelParams()) -> list:
-    """Bins at or above the policy threshold, strongest first.
-
-    Ties in magnitude break toward the lower bin; the list is truncated to
-    ``max_count`` when given.  Zero-magnitude bins never count.
-    """
-    column = est.magnitude()[:, None]
-    bins, _ = _ranked_hits(column, policy.column_thresholds(column))
-    return [
-        DetectedComponent(params, b, float(column[b, 0]))
-        for b in bins[:max_count].tolist()
-    ]
-
-
-def _ranked_hits(mags: np.ndarray, thresholds: np.ndarray, exclude=np.False_):
-    """``(bins, columns)`` of the cells at or above their column's threshold,
-    by magnitude descending, then column, then bin; zero cells and cells set
-    in the boolean ``exclude`` never count."""
-    hit = (mags >= thresholds) & (mags > 0.0) & ~exclude
-    bins, cols = np.nonzero(hit)
-    order = np.lexsort((bins, cols, -mags[bins, cols]))
-    return bins[order], cols[order]
+def _ranked_hits(mags: np.ndarray, thresholds):
+    """``(points, bins)`` of the cells of a (G, M) ``mags`` at or above
+    ``thresholds`` (which broadcasts against ``mags``), by magnitude
+    descending, then grid point, then bin; zero cells never count."""
+    flat = np.flatnonzero((mags >= thresholds) & (mags > 0.0))
+    # row-major flat order is the (point, bin) tie order
+    flat = flat[np.argsort(-mags.ravel()[flat], kind="stable")]
+    return np.divmod(flat, mags.shape[1])
 
 
 def _kernel_coeffs(grid: ParameterGrid) -> np.ndarray:
@@ -353,8 +334,8 @@ def _atoms(meas: MeasurementSet, kernels: np.ndarray, bins) -> np.ndarray:
 
 
 def _grid_estimates(meas: MeasurementSet, kernels: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(M, G) spectral estimates of ``values`` for every grid point at once."""
-    return _scatter_spectra(meas, values[:, None] * kernels)[0]
+    """(G, M) spectral estimates of ``values`` for every grid point at once."""
+    return _scatter_spectra(meas, values[:, None] * kernels)[:, 0]
 
 
 def sweep(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy) -> SweepResult:
@@ -366,9 +347,9 @@ def sweep(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy) ->
 
 
 def _sweep_records(grid: ParameterGrid, mags: np.ndarray, thresholds) -> SweepResult:
-    """Top cell of every column of ``mags`` that reaches its threshold."""
-    peaks = np.argmax(mags, axis=0)  # ties go to the lower bin
-    top = mags[peaks, np.arange(mags.shape[1])]
+    """Top cell of every row of a (G, M) ``mags`` that reaches its threshold."""
+    peaks = np.argmax(mags, axis=1)  # ties go to the lower bin
+    top = mags[np.arange(mags.shape[0]), peaks]
     scores = np.where(top >= thresholds, top, 0.0)
     return SweepResult(grid, scores, np.where(scores > 0, peaks, -1))
 
@@ -440,12 +421,12 @@ def _best_pair(meas: MeasurementSet, kernels: np.ndarray, mags: np.ndarray):
     recovers them; a joint two-atom fit is far more selective because only
     the true pair drives the residual toward zero.  Returns the best pair as
     ``[(point_index, bin, magnitude), ...]`` or ``None`` when fewer than two
-    cells are positive.  ``mags`` is the estimate of the measurements and
-    ``kernels`` the (N, G) kernel matrix.  The pool is the ``PAIR_POOL``
+    cells are positive.  ``mags`` is the (G, M) estimate of the measurements
+    and ``kernels`` the (N, G) kernel matrix.  The pool is the ``PAIR_POOL``
     strongest cells and nearly collinear pairs are skipped.
     """
-    bins, cols = _ranked_hits(mags, 0.0)
-    bins, cols = bins[:PAIR_POOL], cols[:PAIR_POOL]
+    cols, bins = _ranked_hits(mags, 0.0)
+    cols, bins = cols[:PAIR_POOL], bins[:PAIR_POOL]
     if bins.size < 2:
         return None
     atoms = _atoms(meas, kernels[:, cols], bins)
@@ -464,7 +445,7 @@ def _best_pair(meas: MeasurementSet, kernels: np.ndarray, mags: np.ndarray):
     score = np.where(valid, np.divide(captured, det, where=det > 0,
                                       out=np.zeros_like(captured)), -np.inf)
     i, j = np.unravel_index(int(np.argmax(score)), score.shape)
-    return [(int(cols[k]), int(bins[k]), float(mags[bins[k], cols[k]])) for k in (i, j)]
+    return [(int(cols[k]), int(bins[k]), float(mags[cols[k], bins[k]])) for k in (i, j)]
 
 
 def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
@@ -474,14 +455,17 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     Component discovery is a growth-only pursuit: each round estimates the
     current measurement residual at all grid points, extends the support,
     re-solves the joint least squares, and subtracts the fit; a pass ends
-    when the residual vanishes, the support is full, or nothing is left to
-    admit.  Threshold mode admits every cell at or above the policy
-    threshold per round.  Exact mode is orthogonal matching pursuit: it
-    admits the single strongest untried cell per round, whatever the
-    threshold, so noiseless on-grid signals are driven to a numerically
-    zero residual, and a pass that misses is restarted once from the best
-    two-atom fit.  The policy then only scores the sweep.  Spurious support
-    entries are pruned by relative amplitude afterwards.
+    when the residual vanishes, the support is full, or a round admits
+    nothing.  Each admission is the argmax of the round's open cells: the
+    untried cells at or above the policy threshold, with ties going to the
+    lower grid point, then the lower bin.  A candidate that makes the fit
+    rank-deficient is skipped, and the next argmax is taken.  Threshold mode
+    admits open cells until none is left.  Exact mode is orthogonal
+    matching pursuit: its threshold is 0 and it admits one cell per round,
+    so noiseless on-grid signals are driven to a numerically zero residual,
+    and a pass that misses is restarted once from the best two-atom fit.
+    The policy then only scores the sweep.  Spurious support entries are
+    pruned by relative amplitude afterwards.
 
     An empty detection yields an empty result, not an error; rank problems
     in the amplitude solve propagate as :class:`RankDeficiencyError`.  The
@@ -535,37 +519,33 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
         residual_ratio = 1.0 if y_energy > 0 else 0.0
 
         for pi, b, mag in seed:
-            if len(support) >= cap or tried[b, pi]:
-                continue
-            tried[b, pi] = True
+            tried[pi, b] = True
             extended = try_extend(support, (pi, b, mag))
             if extended is not None:
                 support, amps, residual, residual_ratio = extended
 
-        # a round may admit nothing when every candidate is rank-deficient
-        for _ in range(8 * cap + 64):
-            if residual_ratio <= RESIDUAL_TOL or len(support) >= cap:
-                break
+        while residual_ratio > RESIDUAL_TOL and len(support) < cap:
             if support:
                 mags = np.abs(_grid_estimates(meas, kernels, residual))
-                thresholds = 0.0 if exact else policy.column_thresholds(mags)
+                thresholds = 0.0 if exact else policy.column_thresholds(mags)[:, None]
             else:  # the residual is still y
-                mags, thresholds = first, 0.0 if exact else first_thresholds
-            bins, cols = _ranked_hits(mags, thresholds, tried)
-            if not bins.size:
-                break
-            # grow the support with this round's strongest candidates
+                mags, thresholds = first, 0.0 if exact else first_thresholds[:, None]
+            open_cells = np.where((mags >= thresholds) & ~tried, mags, 0.0)
             admitted = 0
             limit = 1 if exact else cap - len(support)
-            for b, pi in zip(bins.tolist(), cols.tolist()):
-                if admitted >= limit or residual_ratio <= RESIDUAL_TOL:
+            while admitted < limit and residual_ratio > RESIDUAL_TOL:
+                # the first maximum in row-major order breaks ties
+                pi, b = divmod(int(np.argmax(open_cells)), m_len)
+                if not open_cells[pi, b] > 0.0:
                     break
-                tried[b, pi] = True
-                extended = try_extend(support, (pi, b, float(mags[b, pi])))
-                if extended is None:
-                    continue
-                support, amps, residual, residual_ratio = extended
-                admitted += 1
+                open_cells[pi, b] = 0.0
+                tried[pi, b] = True
+                extended = try_extend(support, (pi, b, float(mags[pi, b])))
+                if extended is not None:
+                    support, amps, residual, residual_ratio = extended
+                    admitted += 1
+            if not admitted:
+                break
         return support, amps, residual, residual_ratio
 
     best = pursue()

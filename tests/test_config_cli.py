@@ -145,6 +145,18 @@ BAD_SNR_TABLE = [
     ("snr_in_db = 10", "snr_in_db =", "snr_in_db"),
 ]
 
+# Amplitudes whose signal energy length * |amplitude|^2 overflows at length 64.
+OVERFLOWING = [
+    pytest.param("recover", "[component.1]\namplitude = 1", "[component.1]\namplitude = 1e308",
+                 "component.1", id="real"),
+    pytest.param("recover", "[component.1]\namplitude = 1", "[component.1]\namplitude = 2e153j",
+                 "component.1", id="imaginary"),
+    pytest.param("lpft", "[piece.2]\n", "[piece.2]\namplitude = -1e200\n", "piece.2",
+                 id="piece"),
+    pytest.param("snr", "[component.1]\n", "[component.1]\namplitude = 1e154+1e154j\n",
+                 "component.1", id="snr-table"),
+]
+
 
 def write_config(tmp_path, text, name="exp.cfg"):
     path = tmp_path / name
@@ -394,6 +406,16 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="amplitude"):
             parse_config_string(text)
 
+    @pytest.mark.parametrize("name, old, new, section", OVERFLOWING)
+    def test_overflowing_amplitude_rejected(self, name, old, new, section):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] amplitude: "):
+            parse_config_string(TINY[name].replace(old, new))
+
+    def test_large_finite_energy_accepted(self):
+        # 64 * (1e153)**2 = 6.4e307 is still finite
+        text = TINY_RECOVER.replace("amplitude = 1", "amplitude = 1e153")
+        assert parse_config_string(text).components[0].amplitude == 1e153
+
     def test_ini_syntax_error(self):
         with pytest.raises(ConfigError, match="INI syntax error"):
             parse_config_string("not an ini file at all\n")
@@ -604,6 +626,14 @@ class TestCliExitCodes:
         assert code == 3
         assert "computation error: reference signal has no energy" in capsys.readouterr().err
         assert os.listdir(out) == []
+
+    def test_overflowing_amplitude_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_RECOVER.replace("amplitude = 1", "amplitude = 1e308"))
+        out = tmp_path / "o"
+        code = cli.main(["recover", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert "[component.1] amplitude: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_config_file_is_4(self, tmp_path, capsys):
         code = cli.main(["recover", "--config", str(tmp_path / "absent.cfg"),

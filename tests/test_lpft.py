@@ -49,18 +49,18 @@ def dense_window_spectra(meas, weighted, window):
 
     Window ``b`` with ``N_b`` samples gets
     ``(W/N_b) * sum_j weighted[j] * exp(-2j pi k (q_j - b W)/W)``; empty
-    windows stay zero.
+    windows stay zero.  Returns the (G, n_windows, W) array.
     """
     n_win = meas.signal_length // window
     q = meas.positions - meas.index_origin
     owner, local = q // window, (q % window).astype(np.float64)
     k = np.arange(window, dtype=np.float64)
-    out = np.zeros((n_win, window, weighted.shape[1]), dtype=np.complex128)
+    out = np.zeros((weighted.shape[1], n_win, window), dtype=np.complex128)
     for b in range(n_win):
         sel = np.flatnonzero(owner == b)
         if sel.size:
             basis = np.exp(-2j * np.pi / window * np.outer(k, local[sel]))
-            out[b] = (window / sel.size) * (basis @ weighted[sel])
+            out[:, b] = (window / sel.size) * (basis @ weighted[sel]).T
     return out
 
 
@@ -108,7 +108,7 @@ class TestOneEstimator:
     def test_lpft_cs_estimate_matches_dense_sum(self, case):
         meas, window, _, params = case
         phi = kernel_values_at(params, meas.positions, meas.signal_length)
-        want = dense_window_spectra(meas, (meas.values * phi)[:, None], window)[:, :, 0]
+        want = dense_window_spectra(meas, (meas.values * phi)[:, None], window)[0]
         spect = lpft_cs_estimate(meas, params, window)
         np.testing.assert_allclose(spect.blocks, want, rtol=0,
                                    atol=1e-12 * max(1.0, np.max(np.abs(want))))

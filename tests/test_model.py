@@ -88,15 +88,6 @@ class TestMultiComponentSignal:
         with pytest.raises(ValueError):
             MultiComponentSignal((), 8, index_origin=3)
 
-    def test_dominance_margin(self):
-        comps = (
-            PolyPhaseComponent(1.0, (1.0,)),
-            PolyPhaseComponent(2.0, (2.0,)),
-        )
-        sig = MultiComponentSignal(comps, 64)
-        # length * min|r| - sum|r| = 64 * 1 - 3
-        assert sig.dominance_margin() == pytest.approx(61.0)
-
     def test_synthesize_sums_components(self):
         comps = (
             PolyPhaseComponent(1.0, (3.0,)),

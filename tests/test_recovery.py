@@ -16,11 +16,9 @@ from pftcs import (
     PolyPhaseComponent,
     RankDeficiencyError,
     RecoverConfig,
-    Spectrum,
     ThresholdPolicy,
     amplitude_correction,
     cs_spectral_estimate,
-    detect_components,
     kernel_values_at,
     pft,
     recover,
@@ -97,7 +95,7 @@ class TestSpectralEstimate:
         batch = _grid_estimates(meas, _kernel_matrix(meas, grid), meas.values)
         for g, rate in enumerate((0.0, 16.0, 24.0)):
             single = cs_spectral_estimate(meas, KernelParams((-rate,))).coeffs
-            np.testing.assert_allclose(batch[:, g], single,
+            np.testing.assert_allclose(batch[g], single,
                                        atol=1e-9 * np.max(np.abs(single)))
 
     def test_unbiased_at_matched_bin(self):
@@ -155,25 +153,28 @@ class TestAtomFactorization:
                                    atol=1e-12)
 
 
+def spectrum_threshold(policy, mags):
+    """The policy's threshold of one spectrum with these magnitudes."""
+    return float(policy.column_thresholds(np.asarray(mags)[None, :])[0])
+
+
 class TestThresholdPolicy:
     def test_relative_threshold(self):
         policy = ThresholdPolicy.relative(0.25)
-        assert policy.threshold([1.0, 8.0, 2.0]) == pytest.approx(2.0)
+        assert spectrum_threshold(policy, [1.0, 8.0, 2.0]) == pytest.approx(2.0)
 
     def test_statistic_threshold_frozen_value(self):
         # median 4.5 over 8 bins at confidence 0.99:
         # sigma = 4.5 / sqrt(2 ln 2), threshold = sigma * sqrt(2 ln(8/0.01))
         policy = ThresholdPolicy.statistic(0.99)
         mags = np.arange(1.0, 9.0)
-        assert policy.threshold(mags) == pytest.approx(13.974551436197805, rel=1e-12)
+        assert spectrum_threshold(policy, mags) == pytest.approx(13.974551436197805, rel=1e-12)
 
     def test_statistic_scales_with_magnitudes(self):
         policy = ThresholdPolicy.statistic(0.999)
         mags = np.abs(np.random.default_rng(0).normal(size=64)) + 0.1
-        assert policy.threshold(3 * mags) == pytest.approx(3 * policy.threshold(mags))
-
-    def test_empty_magnitudes(self):
-        assert ThresholdPolicy.relative().threshold([]) == 0.0
+        assert spectrum_threshold(policy, 3 * mags) == pytest.approx(
+            3 * spectrum_threshold(policy, mags))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -184,17 +185,17 @@ class TestThresholdPolicy:
             ThresholdPolicy.statistic(1.0)
 
 
-def detected_bins(mags, policy, max_count=None):
-    """Bins :func:`detect_components` finds in a spectrum with these magnitudes."""
-    return [c.freq_bin for c in detect_components(Spectrum(mags), policy, max_count)]
+def detected_bins(mags, policy):
+    """Bins :func:`_ranked_hits` finds in one spectrum with these magnitudes."""
+    row = np.asarray(mags)[None, :]
+    _, bins = _ranked_hits(row, policy.column_thresholds(row)[:, None])
+    return bins.tolist()
 
 
 class TestDetection:
-    def test_strongest_first_and_truncation(self):
+    def test_strongest_first(self):
         mags = np.array([0.0, 5.0, 9.0, 5.0, 1.0])
-        policy = ThresholdPolicy.relative(0.5)
-        assert detected_bins(mags, policy) == [2, 1, 3]
-        assert detected_bins(mags, policy, max_count=2) == [2, 1]
+        assert detected_bins(mags, ThresholdPolicy.relative(0.5)) == [2, 1, 3]
 
     def test_tie_breaks_to_lower_bin(self):
         mags = np.array([4.0, 0.0, 4.0, 0.0])
@@ -204,15 +205,6 @@ class TestDetection:
         mags = np.zeros(8)
         assert detected_bins(mags, ThresholdPolicy.relative(0.5)) == []
 
-    def test_detect_components_wraps_bins(self):
-        spec = Spectrum(np.array([0.0, 3.0, 0.5, 0.0]))
-        found = detect_components(spec, ThresholdPolicy.relative(0.5),
-                                  params=KernelParams((7.0,)))
-        assert len(found) == 1
-        assert found[0].freq_bin == 1
-        assert found[0].raw_magnitude == pytest.approx(3.0)
-        assert found[0].phase_coeffs() == (1.0, 7.0)
-
 
 # few distinct levels make ties within and across columns common
 LEVELS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 4.0]) | st.floats(0.0, 8.0)
@@ -220,43 +212,42 @@ LEVELS = st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.5, 4.0]) | st.floats(0.0, 8.0)
 
 @st.composite
 def ranking_cases(draw):
-    """Magnitudes with ties and all-zero columns, an exclude mask, a policy."""
-    shape = (draw(st.integers(1, 33)), draw(st.integers(1, 6)))
+    """(G, M) magnitudes with ties and all-zero rows, and a policy."""
+    shape = (draw(st.integers(1, 6)), draw(st.integers(1, 33)))
     mags = draw(arrays(np.float64, shape, elements=LEVELS))
-    mags[:, draw(arrays(bool, shape[1:]))] = 0.0
-    exclude = draw(arrays(bool, shape))
+    mags[draw(arrays(bool, shape[:1]))] = 0.0
     policy = draw(st.sampled_from([ThresholdPolicy.relative(0.5), ThresholdPolicy.relative(1.0),
                                    ThresholdPolicy.statistic(0.5),
                                    ThresholdPolicy.statistic(0.99)]))
-    return mags, exclude, policy
+    return mags, policy
 
 
 class TestArrayDetection:
-    """One threshold pass and one ranking over an (M, G) magnitude matrix
-    against per-column detection."""
+    """One threshold pass and one ranking over a (G, M) magnitude matrix
+    against per-grid-point detection."""
 
     @settings(max_examples=300, deadline=None)
     @given(ranking_cases())
     def test_matches_per_column_oracle(self, detect_bins_oracle, case):
-        mags, exclude, policy = case
+        mags, policy = case
         thresholds = policy.column_thresholds(mags)
-        found = _sweep_records(ParameterGrid.single(2, range(mags.shape[1])), mags, thresholds)
+        found = _sweep_records(ParameterGrid.single(2, range(mags.shape[0])), mags, thresholds)
         expected = []
-        for g in range(mags.shape[1]):
-            threshold, bins = detect_bins_oracle(mags[:, g], policy)
+        for g in range(mags.shape[0]):
+            threshold, bins = detect_bins_oracle(mags[g], policy)
             assert thresholds[g] == threshold
-            assert detected_bins(mags[:, g], policy) == bins
-            top = (mags[bins[0], g], bins[0]) if bins else (0.0, -1)
+            assert detected_bins(mags[g], policy) == bins
+            top = (mags[g, bins[0]], bins[0]) if bins else (0.0, -1)
             assert (found.scores[g], found.peaks[g]) == top
-            expected += [(-mags[b, g], g, b) for b in bins if not exclude[b, g]]
-        bins, cols = _ranked_hits(mags, thresholds, exclude)
+            expected += [(-mags[g, b], g, b) for b in bins]
+        cols, bins = _ranked_hits(mags, thresholds[:, None])
         assert list(zip(cols.tolist(), bins.tolist())) == [(g, b) for _, g, b in sorted(expected)]
 
     @settings(max_examples=300, deadline=None)
-    @given(arrays(np.float64, st.tuples(st.integers(1, 40), st.integers(1, 5)),
+    @given(arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(1, 40)),
                   elements=st.floats(-1e300, 1e300) | LEVELS))
     def test_single_kth_median_is_numpy_median(self, mags):
-        assert _column_median(mags).tobytes() == np.median(mags, axis=0).tobytes()
+        assert _column_median(mags).tobytes() == np.median(mags, axis=-1).tobytes()
 
     def test_kernel_matrix_matches_per_point_kernels(self):
         meas, _ = chirp_measurements(length=64, count=24, index_origin=-32)
@@ -308,7 +299,7 @@ class TestParameterGrid:
         assert math.copysign(1.0, grid.rates[0, 0]) == -1.0
         assert math.copysign(1.0, grid.params(0).higher_coeffs[0]) == 1.0
         path = tmp_path / "sweep.csv"
-        write_sweep_csv(path, _sweep_records(grid, np.zeros((1, grid.n_points)), 1.0))
+        write_sweep_csv(path, _sweep_records(grid, np.zeros((grid.n_points, 1)), 1.0))
         assert path.read_text().splitlines()[1] == "1,-0.0,0.0,"
 
     def test_equality_and_hash_by_orders(self):
@@ -328,10 +319,10 @@ class TestParameterGrid:
 
     def test_estimate_cells_bounded(self, monkeypatch):
         # signal_length may be huge with few measurements; the bound is
-        # checked before the (M, G) estimate is allocated
+        # checked before the (G, M) estimate is allocated
         monkeypatch.setattr(recovery, "MAX_ESTIMATE_CELLS", 64)
         meas = MeasurementSet(np.arange(4), np.ones(4), 32)
-        assert _scatter_spectra(meas, np.ones((4, 2))).shape == (1, 32, 2)
+        assert _scatter_spectra(meas, np.ones((4, 2))).shape == (2, 1, 32)
         with pytest.raises(ValueError, match="signal length 32 times 3 grid points "
                                              "is more than 64 estimate cells"):
             _scatter_spectra(meas, np.ones((4, 3)))
@@ -703,13 +694,13 @@ class TestOriginShift:
                 for m in (zero, centered)]
         tol = 1e-9 * mags[0].max()
         for g, v in enumerate(rates):
-            np.testing.assert_allclose(mags[1][:, g], np.roll(mags[0][:, g], -v), atol=tol)
+            np.testing.assert_allclose(mags[1][g], np.roll(mags[0][g], -v), atol=tol)
         a, c = sweep(zero, self.GRID, policy), sweep(centered, self.GRID, policy)
         for g, v in enumerate(rates):
             assert c.scores[g] == pytest.approx(a.scores[g], abs=tol)
             if a.peaks[g] >= 0:
                 # a tie may take either bin; its magnitude must be the peak's
-                assert mags[0][(c.peaks[g] + v) % length, g] == pytest.approx(
+                assert mags[0][g, (c.peaks[g] + v) % length] == pytest.approx(
                     a.scores[g], abs=tol)
 
     @settings(max_examples=40, deadline=None)
@@ -754,8 +745,8 @@ def exact_cases(draw):
 
 
 class TestExactPursuitPolicy:
-    """Exact pursuit ranks every positive cell, so the threshold policy only
-    scores the sweep records and never changes what is recovered."""
+    """Exact pursuit picks from every positive cell, so the threshold policy
+    only scores the sweep records and never changes what is recovered."""
 
     @settings(max_examples=60, deadline=None)
     @given(exact_cases())
@@ -769,6 +760,43 @@ class TestExactPursuitPolicy:
             except RankDeficiencyError as exc:
                 results.append(str(exc))
         assert results[0] == results[1]
+
+
+
+class TestPursuitRounds:
+    """A round that admits nothing ends the pass, so no estimate of an
+    unchanged residual is computed twice."""
+
+    @pytest.mark.parametrize("pursuit, estimates", [("threshold", 2), ("exact", 3)])
+    def test_round_admitting_nothing_ends_pass(self, monkeypatch, pursuit, estimates):
+        length = 64
+        comps = [PolyPhaseComponent(1.0, (5.0, 16.0)), PolyPhaseComponent(0.8, (20.0, 0.0)),
+                 PolyPhaseComponent(0.6, (40.0, -16.0))]
+        samples = synthesize_components(comps, length)
+        meas = MeasurementSet.from_samples(samples, select_measurements(length, 24, seed=3),
+                                           length)
+        solve, estimate = recovery._solve_amplitudes, recovery._grid_estimates
+        calls = 0
+
+        def one_atom_only(atoms, values):
+            # every second atom is rank-deficient, so each pass admits one
+            if atoms.shape[1] >= 2:
+                raise RankDeficiencyError("second atom")
+            return solve(atoms, values)
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return estimate(*args)
+
+        monkeypatch.setattr(recovery, "_solve_amplitudes", one_atom_only)
+        monkeypatch.setattr(recovery, "_grid_estimates", counted)
+        result = recover(meas, ParameterGrid.single(2, (-16.0, 0.0, 16.0)),
+                         ThresholdPolicy.relative(0.3), RecoverConfig(pursuit=pursuit))
+        assert len(result.components) == 1
+        # the sweep, then one residual round per pass (exact mode restarts
+        # once from the best pair)
+        assert calls == estimates
 
 
 PT_RATES = tuple(float(16 * i) for i in range(8))
@@ -826,15 +854,15 @@ class TestBestPair:
         assert pair is not None
         got = {(grid.rates[pi, 0], b) for pi, b, _ in pair}
         assert got == {(0.0, 10), (32.0, 40)}
-        assert all(mag == mags[b, pi] for pi, b, mag in pair)
+        assert all(mag == mags[pi, b] for pi, b, mag in pair)
 
     def test_single_candidate_returns_none(self):
         meas, _ = chirp_measurements(length=32, count=32, coeffs=(5.0,))
         kernels = _kernel_matrix(meas, ParameterGrid.single(2, (0.0,)))
         # a full-sampled tone leaves round-off in every bin, so the pool is
         # cut down to the one positive cell by hand
-        mags = np.zeros((32, 1))
-        mags[5, 0] = 32.0
+        mags = np.zeros((1, 32))
+        mags[0, 5] = 32.0
         assert _best_pair(meas, kernels, mags) is None
 
 
