@@ -47,12 +47,22 @@ SUCCESS_TOL = 1e-10
 
 
 def relative_error(reference, estimate) -> float:
-    """Error energy of ``estimate`` over the energy of ``reference``."""
+    """Error energy of ``estimate`` over the energy of ``reference``.
+
+    The magnitudes of the reference and of the error are first divided by
+    the power of two at or below ``max|reference|``.  That division is exact, so the ratio keeps its
+    bits wherever the energies are normal numbers, and neither energy
+    overflows or underflows for references near the ends of the float range.
+    """
     ref = np.asarray(reference, dtype=np.complex128)
-    ref_energy = float(np.sum(np.abs(ref) ** 2))
-    if ref_energy <= 0.0:
+    mags = np.abs(ref)
+    peak = float(np.max(mags, initial=0.0))
+    if peak == 0.0:
         raise ValueError("reference signal has no energy")
-    return float(np.sum(np.abs(np.asarray(estimate) - ref) ** 2)) / ref_energy
+    # magnitudes, because dividing a complex array by a subnormal overflows
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1)
+    ref_energy = float(np.sum((mags / scale) ** 2))
+    return float(np.sum((np.abs(np.asarray(estimate) - ref) / scale) ** 2)) / ref_energy
 
 
 def snr_db(reference, estimate) -> float:

@@ -144,12 +144,19 @@ def _component_from(section: _Section) -> PolyPhaseComponent:
         raise ConfigError(f"[{section.name}] {exc}") from None
 
 
-def _check_energy(name: str, component: PolyPhaseComponent, length: int):
-    """Reject an amplitude whose signal energy ``length * |amplitude|^2`` overflows."""
-    a = component.amplitude
+def _check_energy(name: str, magnitude: float, length: int):
+    """Reject the section at which the signal energy bound
+    ``length * magnitude^2`` overflows.
+
+    ``magnitude`` is the running sum of ``|amplitude|`` over the component
+    sections, since components overlap and their sum can have that energy.
+    Pieces tile disjoint intervals, so each piece's own ``|amplitude|``
+    bounds the energy of the whole piecewise signal.
+    """
     # products, not ``**``, so that an overflow gives inf instead of raising
-    if not math.isfinite(length * (a.real * a.real + a.imag * a.imag)):
-        raise ConfigError(f"[{name}] amplitude: signal energy {length} * |{a}|^2 overflows")
+    if not math.isfinite(length * magnitude * magnitude):
+        raise ConfigError(f"[{name}] amplitude: signal energy bound "
+                          f"{length} * {magnitude!r}^2 overflows")
 
 
 def _numbered_sections(sections, prefix):
@@ -327,13 +334,15 @@ def _read(sections) -> ExperimentConfig:
 
     components = []
     pieces = []
+    magnitude = 0.0
     for name in _numbered_sections(sections, "component"):
         components.append(_component_from(sections[name]))
-        _check_energy(name, components[-1], length)
+        magnitude += abs(components[-1].amplitude)
+        _check_energy(name, magnitude, length)
     for name in _numbered_sections(sections, "piece"):
         section = sections[name]
         component = _component_from(section)
-        _check_energy(name, component, length)
+        _check_energy(name, abs(component.amplitude), length)
         start = section.get_int("start", required=True)
         stop = section.get_int("stop", required=True)
         if stop <= start:

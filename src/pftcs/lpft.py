@@ -8,7 +8,8 @@ occupies and the single-window transform degenerates exactly to the full
 transform.  Piecewise signals are recovered window by window: every
 candidate from the rate grid fits the window's demodulated measurements
 with a few local Fourier bins, and the candidate with the smallest
-residual wins.  The masked window spectra come from the same scatter-FFT
+residual wins.  A window's candidates are fitted as stacks, one per bin
+count.  The masked window spectra come from the same scatter-FFT
 estimator as the global transform, one batched FFT for every window and
 grid point.
 """
@@ -22,14 +23,12 @@ import numpy as np
 from .model import MeasurementSet
 from .recovery import (
     ParameterGrid,
-    RankDeficiencyError,
     SweepResult,
     ThresholdPolicy,
     _kernel_matrix,
-    _ranked_hits,
+    _normal_equations,
     _residual_ratio,
     _scatter_spectra,
-    _solve_amplitudes,
     _sweep_records,
 )
 from .transform import KernelParams, kernel_values_at
@@ -145,16 +144,16 @@ def lpft_sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,
 
 def _sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,
            policy: ThresholdPolicy):
-    """:func:`lpft_sweep`'s result, the (N, G) demodulated samples, their
-    (G, n_windows, W) spectrum magnitudes and the (G, n_windows) thresholds."""
+    """:func:`lpft_sweep`'s result, the (N, G) demodulated samples and
+    their (G, n_windows, W) spectrum magnitudes with every bin below its
+    window's threshold zeroed: the detections."""
     _check_window(window, meas.signal_length)
     weighted = meas.values[:, None] * _kernel_matrix(meas, grid)
     mags = np.abs(_scatter_spectra(meas, weighted, window))
     # an empty window is all zeros and detects nothing
     thresholds = policy.column_thresholds(mags)
-    hits = (mags >= thresholds[..., None]) & (mags > 0.0)
-    projection = np.where(hits, mags, 0.0).sum(axis=1)
-    return _sweep_records(grid, projection, 0.0), weighted, mags, thresholds
+    detected = np.where((mags >= thresholds[..., None]) & (mags > 0.0), mags, 0.0)
+    return _sweep_records(grid, detected.sum(axis=1), 0.0), weighted, detected
 
 
 @dataclass(frozen=True)
@@ -184,17 +183,26 @@ class LpftRecoveryResult:
         return len(self.assignments)
 
 
-def _window_fit(weighted, rows, bins):
-    """Least-squares local Fourier amplitudes and the relative residual energy.
+def _candidate_fits(demodulated, rows, chosen):
+    """Least-squares local Fourier fits of a stack of candidates in one window.
 
-    ``weighted`` holds a window's demodulated samples and ``rows`` the
-    Fourier-table rows of their offsets into the window.  The kernel has
-    unit modulus, so this is the fit of the raw samples to the atoms
-    ``conj(phi) * exp(2j pi k (m - start)/W)``.
+    Row ``c`` of the (C, N_b) ``demodulated`` holds the window's samples
+    demodulated by candidate ``c``'s kernel, ``rows`` holds the (N_b, W)
+    Fourier-table rows of the samples' offsets into the window, and row
+    ``c`` of the (C, k) ``chosen`` holds candidate ``c``'s bins.  The
+    kernel has unit modulus, so each fit is that of the raw samples to the
+    atoms ``conj(phi) * exp(2j pi k (m - start)/W)``.  Returns the mask of
+    candidates that pass the rank rule and, for those, their (C', k)
+    amplitudes and relative residual energies.
     """
-    atoms = rows[:, bins]
-    amps = _solve_amplitudes(atoms, weighted)
-    return amps, _residual_ratio(weighted - atoms @ amps, weighted)
+    # column-major (N_b, k) atoms, the layout of ``rows[:, bins]``, so that
+    # each stacked product rounds as the same product of one candidate does
+    atoms = rows.T[chosen].swapaxes(1, 2)
+    gram, rhs, _, solvable = _normal_equations(atoms, demodulated)
+    atoms, demodulated = atoms[solvable], demodulated[solvable]
+    amps = np.linalg.solve(gram[solvable], rhs[solvable])[..., 0]
+    left = demodulated - (atoms @ amps[..., None])[..., 0]
+    return solvable, amps, _residual_ratio(left, demodulated)
 
 
 def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
@@ -207,17 +215,19 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
     thresholds, strongest first, capped at ``max(1, N_b // 2 - 1)`` to
     leave residual headroom for the comparison), the local Fourier
     amplitudes are fitted by least squares, and the candidate with the
-    smallest computed relative residual is assigned.  A later candidate
-    displaces the best only with a strictly smaller ratio, so candidates
-    that tie in exact arithmetic are decided by the rounding of their
-    ratios, in either direction.  Windows with no measurements or no
+    smallest computed relative residual is assigned.  The candidates with
+    the same number of bins are fitted as one stack, with the rank rule of
+    every amplitude solve; a rank-deficient candidate is skipped.  A later
+    candidate displaces the best only with a strictly smaller ratio, so
+    candidates that tie in exact arithmetic are decided by the rounding of
+    their ratios, in either direction.  Windows with no measurements or no
     fitting candidate reconstruct as zeros and are listed in
     ``unassigned_windows``.  The result carries the :func:`lpft_sweep`
     result in ``sweep``; compare ``reconstructed`` with a reference by
     :func:`pftcs.analysis.relative_error`.
     """
     length = meas.signal_length
-    swept, weighted, mags, thresholds = _sweep(meas, grid, window, policy)
+    swept, weighted, detected = _sweep(meas, grid, window, policy)
     cands = np.flatnonzero(swept.scores > 0)
     owner = _window_of(meas, window)
     offsets = np.arange(window)
@@ -229,29 +239,37 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
     for b in range(length // window):
         start = meas.index_origin + b * window
         sel = np.flatnonzero(owner == b)
-        best = None
-        if sel.size:
-            cap = max(1, sel.size // 2 - 1)
-            rows = table[meas.positions[sel] - start]
-            cols, bins = _ranked_hits(mags[cands, b], thresholds[cands, b, None])
-            for j, g in enumerate(cands.tolist()):
-                chosen = bins[cols == j][:cap]
-                if not chosen.size:
-                    continue
-                try:
-                    amps, ratio = _window_fit(weighted[sel, g], rows, chosen)
-                except RankDeficiencyError:
-                    continue
-                if best is None or ratio < best[0]:
-                    best = (ratio, g, chosen, amps)
-        if best is None:
+        cap = max(1, sel.size // 2 - 1)
+        found = detected[cands, b]
+        # each candidate's detected bins come first, strongest first, ties
+        # to the lower bin
+        ranked = np.argsort(-found, axis=1, kind="stable")
+        taken = np.minimum(np.count_nonzero(found, axis=1), cap)
+        demodulated = weighted[sel][:, cands].T
+        rows = table[meas.positions[sel] - start]
+        ratios = np.full(cands.size, np.inf)  # +inf: no bins or rank-deficient
+        amps = np.zeros((cands.size, cap), dtype=np.complex128)
+        for k in range(1, cap + 1):
+            group = np.flatnonzero(taken == k)
+            if group.size:
+                solvable, fitted, ratio = _candidate_fits(
+                    demodulated[group], rows, ranked[group, :k])
+                ratios[group[solvable]] = ratio
+                amps[group[solvable], :k] = fitted
+        solved = np.flatnonzero(ratios != np.inf)
+        if not solved.size:
             assignments.append(WindowAssignment(b, start, None, None, (), (), None))
             unassigned.append(b)
             continue
-        ratio, g, bins, amps = best
+        # a later candidate wins only with a strictly smaller ratio, so the
+        # winner is the first minimum, and a NaN first fit is never displaced
+        j = solved[0] if np.isnan(ratios[solved[0]]) else int(np.nanargmin(ratios))
+        g, k = int(cands[j]), int(taken[j])
+        chosen, fitted = ranked[j, :k], amps[j, :k]
         params = grid.params(g)
-        assignments.append(WindowAssignment(b, start, g, params, tuple(bins.tolist()),
-                                            tuple(complex(a) for a in amps), ratio))
+        assignments.append(WindowAssignment(b, start, g, params, tuple(chosen.tolist()),
+                                            tuple(complex(a) for a in fitted),
+                                            float(ratios[j])))
         inv = np.conj(kernel_values_at(params, start + offsets, length))
-        reconstructed[b * window:(b + 1) * window] = inv * (table[:, bins] @ amps)
+        reconstructed[b * window:(b + 1) * window] = inv * (table[:, chosen] @ fitted)
     return LpftRecoveryResult(tuple(assignments), reconstructed, tuple(unassigned), swept)

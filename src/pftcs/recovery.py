@@ -354,19 +354,32 @@ def _sweep_records(grid: ParameterGrid, mags: np.ndarray, thresholds) -> SweepRe
     return SweepResult(grid, scores, np.where(scores > 0, peaks, -1))
 
 
+def _normal_equations(atoms: np.ndarray, values: np.ndarray):
+    """Normal equations of ``values ~ atoms @ x`` for one (N, K) system or a
+    (C, N, K) stack, and the rank rule of every amplitude solve.
+
+    Returns the Gram matrices, the right-hand sides as (..., K, 1) columns,
+    the condition numbers and whether each system passes: its Gram matrix
+    has a finite condition number of at most ``COND_LIMIT``.
+    """
+    adjoint = atoms.conj().swapaxes(-1, -2)
+    gram = adjoint @ atoms
+    cond = np.linalg.cond(gram)
+    return gram, adjoint @ values[..., None], cond, np.isfinite(cond) & (cond <= COND_LIMIT)
+
+
 def _solve_amplitudes(atoms: np.ndarray, values: np.ndarray) -> np.ndarray:
     n, k = atoms.shape
     if n < k:
         raise RankDeficiencyError(
             f"{k} components from {n} measurements: system is underdetermined"
         )
-    gram = atoms.conj().T @ atoms
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    gram, rhs, cond, solvable = _normal_equations(atoms, values)
+    if not solvable:
         raise RankDeficiencyError(
             f"amplitude system condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
         )
-    return np.linalg.solve(gram, atoms.conj().T @ values)
+    return np.linalg.solve(gram, rhs)[:, 0]
 
 
 def amplitude_correction(meas: MeasurementSet, detected) -> np.ndarray:
@@ -399,17 +412,19 @@ def reconstruct(components, length, index_origin=0) -> np.ndarray:
     return out
 
 
-def _energy(x) -> float:
-    return float(np.sum(np.abs(np.asarray(x)) ** 2))
+def _energy(x):
+    """Energy of a vector, or of each row of a stack."""
+    return np.sum(np.abs(x) ** 2, axis=-1)
 
 
-def _residual_ratio(left, y) -> float:
-    """``|left|^2 / |y|^2`` with both vectors first divided by ``max|y|``.
+def _residual_ratio(left, y):
+    """``|left|^2 / |y|^2`` along the last axis, with both first divided by
+    ``max|y|`` along it: a scalar for vectors, an array for stacks.
 
     Scaling ``y`` and ``left`` by a power of two then leaves the ratio bit
     for bit unchanged, even where the residual energy is subnormal.
     """
-    scale = float(np.max(np.abs(y)))
+    scale = np.max(np.abs(y), axis=-1, keepdims=True)
     return _energy(left / scale) / _energy(y / scale)
 
 

@@ -46,6 +46,14 @@ class TestRelativeError:
         with pytest.raises(ValueError, match="reference signal has no energy"):
             relative_error([0.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize("scale", [1e-320, 1e300])
+    def test_extreme_scales(self, scale):
+        # the energies underflow to 0 or overflow to inf unless scaled first
+        x = scale * np.array([1.0, -3j, 2.0 + 1j])
+        assert relative_error(x, x) == 0.0
+        assert relative_error(x, 2 * x) == 1.0
+        assert snr_db(x, 2 * x) == 0.0
+
 
 class TestTheory:
     def test_frozen_values(self):

@@ -145,6 +145,9 @@ BAD_SNR_TABLE = [
     ("snr_in_db = 10", "snr_in_db =", "snr_in_db"),
 ]
 
+JOINTLY_OVERFLOWING = ("amplitude = 1.2e153\ncoeffs = 5 8\n\n"
+                       "[component.2]\namplitude = 1.2e153\ncoeffs = 9 16")
+
 # Amplitudes whose signal energy length * |amplitude|^2 overflows at length 64.
 OVERFLOWING = [
     pytest.param("recover", "[component.1]\namplitude = 1", "[component.1]\namplitude = 1e308",
@@ -155,6 +158,9 @@ OVERFLOWING = [
                  id="piece"),
     pytest.param("snr", "[component.1]\n", "[component.1]\namplitude = 1e154+1e154j\n",
                  "component.1", id="snr-table"),
+    # each alone is finite (64 * 1.2e153^2 = 9.2e307), their sum is not
+    pytest.param("recover", "amplitude = 1\ncoeffs = 10 -24", JOINTLY_OVERFLOWING,
+                 "component.2", id="joint"),
 ]
 
 
@@ -633,6 +639,15 @@ class TestCliExitCodes:
         code = cli.main(["recover", "--config", cfg, "--out", str(out)])
         assert code == 2
         assert "[component.1] amplitude: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_jointly_overflowing_components_are_2(self, tmp_path, capsys):
+        text = TINY_RECOVER.replace("amplitude = 1\ncoeffs = 10 -24", JOINTLY_OVERFLOWING)
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        code = cli.main(["recover", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert "[component.2] amplitude: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_config_file_is_4(self, tmp_path, capsys):

@@ -20,8 +20,14 @@ from pftcs import (
     pft,
     synthesize_components,
 )
-from pftcs.lpft import _window_fit
-from pftcs.recovery import _scatter_spectra
+from pftcs.lpft import _candidate_fits, _sweep
+from pftcs.recovery import (
+    RankDeficiencyError,
+    _ranked_hits,
+    _residual_ratio,
+    _scatter_spectra,
+    _solve_amplitudes,
+)
 
 
 def piecewise_signal(length=256, window=32, origin=-128):
@@ -273,9 +279,11 @@ class TestWindowFitBlockStructure:
             sel = np.flatnonzero(owner == b)
             pos = meas.positions[sel]
             demodulated = meas.values[sel] * kernel_values_at(params, pos, 128)
-            amps, _ = _window_fit(demodulated, fourier_rows(pos - b * window, window),
-                                  bins_per_window)
-            joint_amps.append(amps)
+            solvable, amps, _ = _candidate_fits(demodulated[None, :],
+                                                fourier_rows(pos - b * window, window),
+                                                np.array([bins_per_window]))
+            assert solvable.tolist() == [True]
+            joint_amps.append(amps[0])
 
         # independent joint solve on the block-diagonal system
         rows = meas.positions < 2 * window
@@ -295,19 +303,18 @@ class TestWindowFitBlockStructure:
         stacked = np.concatenate(joint_amps)
         np.testing.assert_allclose(stacked, oracle, atol=1e-12 * max(1.0, np.max(np.abs(oracle))))
 
-    def test_underdetermined_window_raises(self):
-        from pftcs import RankDeficiencyError
-
+    def test_underdetermined_window_is_rejected(self):
         cases = [
             # fewer measurements than atoms
-            (np.ones(1, dtype=np.complex128), np.array([3]), [0, 1], "underdetermined"),
+            (np.ones(1, dtype=np.complex128), np.array([3]), [0, 1]),
             # a duplicate bin repeats an atom, so the Gram matrix is singular
-            (np.ones(4, dtype=np.complex128), np.array([0, 2, 3, 5]), [3, 3],
-             "condition number"),
+            (np.ones(4, dtype=np.complex128), np.array([0, 2, 3, 5]), [3, 3]),
         ]
-        for values, offsets, bins, reason in cases:
-            with pytest.raises(RankDeficiencyError, match=reason):
-                _window_fit(values, fourier_rows(offsets, 8), bins)
+        for values, offsets, bins in cases:
+            solvable, amps, ratios = _candidate_fits(values[None, :], fourier_rows(offsets, 8),
+                                                     np.array([bins]))
+            assert solvable.tolist() == [False]
+            assert amps.shape == (0, 2) and ratios.shape == (0,)
 
 
 @st.composite
@@ -361,6 +368,108 @@ class TestDemodulatedWindowFit:
                                        atol=1e-12 * np.max(np.abs(oracle)))
         assert all(result.assignments[b].grid_index is None
                    for b in range(result.n_windows) if not np.any(owner == b))
+
+
+def per_candidate_fits(meas, grid, window, policy):
+    """The per-candidate reference for :func:`lpft_recover`'s stacked fits.
+
+    Every candidate is fitted alone by ``_solve_amplitudes``, a rank-deficient
+    one is skipped, and a later candidate displaces the best only with a
+    strictly smaller ratio.  Returns ``(grid index, bins, amplitudes,
+    ratio)`` per window, or None where nothing fitted.
+    """
+    swept, weighted, detected = _sweep(meas, grid, window, policy)
+    cands = np.flatnonzero(swept.scores > 0)
+    owner = (meas.positions - meas.index_origin) // window
+    offsets = np.arange(window)
+    table = np.exp(2j * np.pi * (np.outer(offsets, offsets) % window) / window)
+    out = []
+    for b in range(meas.signal_length // window):
+        sel = np.flatnonzero(owner == b)
+        best = None
+        if sel.size:
+            cap = max(1, sel.size // 2 - 1)
+            rows = table[meas.positions[sel] - meas.index_origin - b * window]
+            cols, bins = _ranked_hits(detected[cands, b], 0.0)
+            for j, g in enumerate(cands.tolist()):
+                chosen = bins[cols == j][:cap]
+                if not chosen.size:
+                    continue
+                atoms = rows[:, chosen]
+                try:
+                    amps = _solve_amplitudes(atoms, weighted[sel, g])
+                except RankDeficiencyError:
+                    continue
+                ratio = _residual_ratio(weighted[sel, g] - atoms @ amps, weighted[sel, g])
+                if best is None or ratio < best[3]:
+                    best = (g, tuple(chosen.tolist()), tuple(complex(a) for a in amps),
+                            float(ratio))
+        out.append(best)
+    return out
+
+
+def assert_matches_per_candidate_fits(meas, grid, window, policy):
+    result = lpft_recover(meas, grid, window, policy)
+    found = [None if a.grid_index is None else
+             (a.grid_index, a.bins, a.amplitudes, a.residual_ratio)
+             for a in result.assignments]
+    assert found == per_candidate_fits(meas, grid, window, policy)
+    return result
+
+
+class TestStackedWindowFits:
+    """The stacked fits of a window's candidates equal one solve per candidate."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(window_recover_cases())
+    def test_equal_per_candidate_loop(self, case):
+        meas, window, grid, policy = case
+        assert_matches_per_candidate_fits(meas, grid, window, policy)
+
+    def test_window_without_candidates_is_unassigned(self):
+        grid = ParameterGrid.single(2, (0.0, 8.0))
+        policy = ThresholdPolicy.relative(0.5)
+        # no candidate at all: every grid point scores 0
+        zeros = MeasurementSet(np.arange(16), np.zeros(16, dtype=np.complex128), 32)
+        result = assert_matches_per_candidate_fits(zeros, grid, 8, policy)
+        assert result.unassigned_windows == (0, 1, 2, 3)
+        # candidates, but none detects a bin in the all-zero first window
+        values = np.where(np.arange(16) < 8, 0.0, np.exp(2j * np.pi * np.arange(16) / 8))
+        meas = MeasurementSet(np.arange(16), values, 32)
+        result = assert_matches_per_candidate_fits(meas, grid, 8, policy)
+        assert result.unassigned_windows == (0, 2, 3)
+
+    def test_rank_deficient_and_full_rank_in_one_stack(self):
+        # at offsets {0, 4} of a window of 8, bins 0 and 2 (and 1 and 3) are
+        # the same atom, while bins 0 and 1 (and 3 and 2) are not
+        rows = fourier_rows(np.array([0, 4]), 8)
+        chosen = np.array([[0, 2], [0, 1], [1, 3], [3, 2]])
+        rng = np.random.default_rng(5)
+        demodulated = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
+        solvable, amps, ratios = _candidate_fits(demodulated, rows, chosen)
+        assert solvable.tolist() == [False, True, False, True]
+        for c, fitted, ratio in zip(np.flatnonzero(solvable), amps, ratios):
+            atoms = rows[:, chosen[c]]
+            alone = _solve_amplitudes(atoms, demodulated[c])
+            assert np.array_equal(fitted, alone)
+            assert ratio == _residual_ratio(demodulated[c] - atoms @ alone, demodulated[c])
+        for c in np.flatnonzero(~solvable):
+            with pytest.raises(RankDeficiencyError, match="condition number"):
+                _solve_amplitudes(rows[:, chosen[c]], demodulated[c])
+
+    def test_exact_tie_goes_to_lower_grid_index(self):
+        # one sample per window, at offset 0: every candidate fits it through
+        # bin 0 with a residual of exactly 0, so the first candidate must win
+        rng = np.random.default_rng(2)
+        positions = np.arange(0, 64, 16)
+        meas = MeasurementSet(positions, rng.normal(size=4) + 1j * rng.normal(size=4), 64)
+        grid = ParameterGrid.single(2, (0.0, 4.0, 8.0, 12.5))
+        result = assert_matches_per_candidate_fits(meas, grid, 16,
+                                                   ThresholdPolicy.relative(0.5))
+        assert np.count_nonzero(result.sweep.scores > 0) > 1
+        first = int(np.flatnonzero(result.sweep.scores > 0)[0])
+        for a in result.assignments:
+            assert (a.grid_index, a.bins, a.residual_ratio) == (first, (0,), 0.0)
 
 
 class TestLpftRecover:
