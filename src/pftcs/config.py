@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import configparser
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .model import NoiseSpec, PolyPhaseComponent
@@ -42,8 +43,8 @@ class ExperimentConfig:
     index_origin: int = 0
     components: tuple = ()
     pieces: tuple = ()
+    # measurements per window under per_window, else in total
     sampling_count: int | None = None
-    sampling_fraction: float | None = None
     per_window: bool = False
     seed: int = 0
     grid: ParameterGrid | None = None
@@ -139,9 +140,15 @@ def _component_from(section: _Section) -> PolyPhaseComponent:
     amplitude = section.get_complex("amplitude", default=1 + 0j)
     coeffs = section.get_floats("coeffs", required=True)
     try:
-        return PolyPhaseComponent(amplitude, coeffs)
+        component = PolyPhaseComponent(amplitude, coeffs)
     except ValueError as exc:
         raise ConfigError(f"[{section.name}] {exc}") from None
+    # the fits divide by max|measurement|, which overflows when it is subnormal
+    magnitude = abs(component.amplitude)
+    if magnitude < sys.float_info.min:
+        raise ConfigError(f"[{section.name}] amplitude: magnitude {magnitude!r} is below "
+                          f"the smallest normal number {sys.float_info.min!r}")
+    return component
 
 
 def _check_energy(name: str, magnitude: float, length: int):
@@ -339,7 +346,8 @@ def _read(sections) -> ExperimentConfig:
         components.append(_component_from(sections[name]))
         magnitude += abs(components[-1].amplitude)
         _check_energy(name, magnitude, length)
-    for name in _numbered_sections(sections, "piece"):
+    # snr-table's Monte-Carlo signal is its components alone
+    for name in _numbered_sections(sections, "piece") if kind != "snr-table" else ():
         section = sections[name]
         component = _component_from(section)
         _check_energy(name, abs(component.amplitude), length)
@@ -348,6 +356,10 @@ def _read(sections) -> ExperimentConfig:
         if stop <= start:
             raise ConfigError(f"[{name}] stop must exceed start")
         pieces.append(Piece(component, start, stop))
+    if not components and not (pieces and kind == "lpft-recover"):
+        needed = ("[piece.N] or [component.N] sections" if kind == "lpft-recover"
+                  else "at least one [component.N] section")
+        raise ConfigError(f"{kind} needs {needed}")
 
     if pieces:
         pieces.sort(key=lambda p: p.start)
@@ -364,60 +376,21 @@ def _read(sections) -> ExperimentConfig:
                 f"pieces must end at {origin + length}, last piece stops at {expected}"
             )
 
-    grid_section = sections.get("grid")
-    grid = _parse_grid(grid_section) if grid_section is not None else None
-    if grid is not None:
-        _check_cells("[signal] length and [grid]", length, grid.n_points)
-    policy_section = sections.get("policy")
-    policy = _parse_policy(policy_section) if policy_section is not None else None
-    # snr-table draws its own masks and noise per trial
-    measured = kind in ("sweep-recover", "lpft-recover")
-    noise_section = sections.get("noise") if measured else None
-    noise = _parse_noise(noise_section) if noise_section is not None else NoiseSpec()
-    recover_section = sections.get("recover") if kind in ("sweep-recover", "snr-table") else None
+    grid = _parse_grid(_require(sections, "grid"))
+    _check_cells("[signal] length and [grid]", length, grid.n_points)
+    policy = _parse_policy(_require(sections, "policy"))
+    recover_section = sections.get("recover") if kind != "lpft-recover" else None
     recover_cfg = _parse_recover(recover_section) if recover_section is not None else RecoverConfig()
+    common = dict(kind=kind, label=label, signal_length=length, index_origin=origin,
+                  components=tuple(components), pieces=tuple(pieces), grid=grid,
+                  policy=policy, recover=recover_cfg)
 
-    sampling = sections.get("sampling") if measured else None
-    count = fraction = None
-    per_window = False
-    seed = 0
-    if sampling is not None:
-        count = sampling.get_int("count")
-        fraction = sampling.get_float("fraction")
-        per_window = sampling.get_bool("per_window", default=False)
-        seed = sampling.get_int("seed", default=0)
-        if count is not None and fraction is not None:
-            raise ConfigError("[sampling] give either count or fraction, not both")
-        if count is not None and count < 1:
-            raise ConfigError(f"[sampling] count must be at least 1, got {count}")
-        if count is not None and count > length:
-            raise ConfigError(
-                f"[sampling] measurement count {count} exceeds signal length {length}"
-            )
-        if fraction is not None and not 0.0 < fraction <= 1.0:
-            raise ConfigError(f"[sampling] fraction must be in (0, 1], got {fraction}")
-        if fraction is not None and round(fraction * length) < 1:
-            raise ConfigError(
-                f"[sampling] fraction {fraction} of length {length} rounds to 0 measurements"
-            )
-
-    window = None
-    lpft_section = sections.get("lpft") if measured else None
-    if lpft_section is not None:
-        window = lpft_section.get_int("window", required=True)
-        if window < 2 or length % window != 0:
-            raise ConfigError(
-                f"[lpft] window {window} must be >= 2 and divide the signal length {length}"
-            )
-
-    snr_in = counts = ()
-    snr_trials = snr_seed = 0
-    snr_section = sections.get("snr_table") if kind == "snr-table" else None
-    if snr_section is not None:
-        snr_in = snr_section.get_floats("snr_in_db", required=True)
-        counts = snr_section.get_ints("counts", required=True)
-        snr_trials = snr_section.get_int("trials", required=True)
-        snr_seed = snr_section.get_int("seed", default=0)
+    if kind == "snr-table":
+        # snr-table draws its own masks and noise per trial
+        table = _require(sections, "snr_table")
+        snr_in = table.get_floats("snr_in_db", required=True)
+        counts = table.get_ints("counts", required=True)
+        trials = table.get_int("trials", required=True)
         for key, values in (("snr_in_db", snr_in), ("counts", counts)):
             if not values:
                 raise ConfigError(f"[snr_table] {key}: needs at least one value")
@@ -428,51 +401,47 @@ def _read(sections) -> ExperimentConfig:
         for snr in snr_in:
             if not math.isfinite(snr):
                 raise ConfigError(f"[snr_table] snr_in_db: {snr} is not finite")
-
-    config = ExperimentConfig(
-        kind=kind, label=label, signal_length=length, index_origin=origin,
-        components=tuple(components), pieces=tuple(pieces),
-        sampling_count=count, sampling_fraction=fraction,
-        per_window=per_window, seed=seed, grid=grid, policy=policy,
-        noise=noise, recover=recover_cfg, window=window,
-        snr_in_db=snr_in, snr_counts=counts, snr_trials=snr_trials,
-        snr_seed=snr_seed,
-    )
-    _check_kind(config)
-    return config
-
-
-def _check_kind(config: ExperimentConfig):
-    kind = config.kind
-    if kind == "sweep-recover":
-        if not config.components:
-            raise ConfigError("sweep-recover needs at least one [component.N] section")
-        if config.sampling_count is None and config.sampling_fraction is None:
-            raise ConfigError("sweep-recover needs [sampling] count or fraction")
-        if config.grid is None or config.policy is None:
-            raise ConfigError("sweep-recover needs [grid] and [policy] sections")
-    elif kind == "lpft-recover":
-        if not config.pieces and not config.components:
-            raise ConfigError("lpft-recover needs [piece.N] or [component.N] sections")
-        if config.window is None:
-            raise ConfigError("lpft-recover needs an [lpft] section with a window")
-        if config.sampling_count is None and config.sampling_fraction is None:
-            raise ConfigError("lpft-recover needs [sampling] count or fraction")
-        if config.grid is None or config.policy is None:
-            raise ConfigError("lpft-recover needs [grid] and [policy] sections")
-    elif kind == "snr-table":
-        if not config.components:
-            raise ConfigError("snr-table needs at least one [component.N] section")
-        if not config.snr_in_db:
-            raise ConfigError("snr-table needs an [snr_table] section")
-        if config.grid is None or config.policy is None:
-            raise ConfigError("snr-table needs [grid] and [policy] sections")
-        if config.snr_trials < 1:
+        if trials < 1:
             raise ConfigError("[snr_table] trials must be positive")
         # the Monte-Carlo signal model supports only these two index origins
-        centered = -(config.signal_length // 2)
-        if config.index_origin not in (0, centered):
+        centered = -(length // 2)
+        if origin not in (0, centered):
             raise ConfigError(
                 f"[signal] origin: snr-table needs 'zero' or 'centered' (0 or {centered}), "
-                f"got {config.index_origin}"
+                f"got {origin}"
             )
+        return ExperimentConfig(**common, snr_in_db=snr_in, snr_counts=counts,
+                                snr_trials=trials, snr_seed=table.get_int("seed", default=0))
+
+    noise_section = sections.get("noise")
+    noise = _parse_noise(noise_section) if noise_section is not None else NoiseSpec()
+    sampling = _require(sections, "sampling")
+    count = sampling.get_int("count")
+    fraction = sampling.get_float("fraction")
+    per_window = sampling.get_bool("per_window", default=False)
+    window = None
+    if kind == "lpft-recover" or per_window:
+        window = _require(sections, "lpft").get_int("window", required=True)
+        if window < 2 or length % window != 0:
+            raise ConfigError(
+                f"[lpft] window {window} must be >= 2 and divide the signal length {length}"
+            )
+    # under per_window, count and fraction are per window
+    span, where = ((window, f"window {window}") if per_window
+                   else (length, f"signal length {length}"))
+    if count is not None and fraction is not None:
+        raise ConfigError("[sampling] give either count or fraction, not both")
+    if fraction is not None:
+        if not 0.0 < fraction <= 1.0:
+            raise ConfigError(f"[sampling] fraction must be in (0, 1], got {fraction}")
+        count = round(fraction * span)
+        if count < 1:
+            raise ConfigError(f"[sampling] fraction {fraction} of {where} rounds to 0 measurements")
+    elif count is None:
+        raise ConfigError("[sampling] needs count or fraction")
+    elif count < 1:
+        raise ConfigError(f"[sampling] count must be at least 1, got {count}")
+    elif count > span:
+        raise ConfigError(f"[sampling] measurement count {count} exceeds {where}")
+    return ExperimentConfig(**common, noise=noise, sampling_count=count, per_window=per_window,
+                            seed=sampling.get_int("seed", default=0), window=window)

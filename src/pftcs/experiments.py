@@ -51,37 +51,20 @@ def synthesize_config_signal(config: ExperimentConfig) -> np.ndarray:
     return out
 
 
-def _global_positions(config: ExperimentConfig) -> np.ndarray:
-    length = config.signal_length
-    count = config.sampling_count
-    if count is None:
-        count = int(round(config.sampling_fraction * length))
-    return select_measurements(length, count, config.index_origin,
-                               np.random.SeedSequence((config.seed,)))
-
-
-def _per_window_positions(config: ExperimentConfig) -> np.ndarray:
-    """Independent uniform masks per window, seeded by (seed, window)."""
-    window = config.window
-    if window is None:
-        raise ConfigError("[sampling] per_window sampling needs an [lpft] window")
-    count = config.sampling_count
-    if count is None:
-        count = int(round(config.sampling_fraction * window))
-    if not 1 <= count <= window:
-        raise ConfigError(
-            f"[sampling] per-window count {count} must be between 1 and the window {window}"
-        )
-    return np.concatenate([
-        select_measurements(window, count, config.index_origin + b * window,
-                            np.random.SeedSequence((config.seed, b)))
-        for b in range(config.signal_length // window)
-    ])
-
-
 def _measure(config: ExperimentConfig, samples: np.ndarray) -> MeasurementSet:
-    positions = (_per_window_positions(config) if config.per_window
-                 else _global_positions(config))
+    """``samples`` at ``sampling_count`` uniform random positions of the whole
+    signal, seeded by (seed,), or under ``per_window`` of each window b,
+    seeded by (seed, b)."""
+    if config.per_window:
+        span = config.window
+        keys = [(config.seed, b) for b in range(config.signal_length // span)]
+    else:
+        span, keys = config.signal_length, [(config.seed,)]
+    positions = np.concatenate([
+        select_measurements(span, config.sampling_count, config.index_origin + i * span,
+                            np.random.SeedSequence(key))
+        for i, key in enumerate(keys)
+    ])
     return MeasurementSet.from_samples(samples, positions, config.signal_length,
                                        config.index_origin)
 

@@ -493,7 +493,8 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     m_len, n_meas = meas.signal_length, meas.count
     kernels = _kernel_matrix(meas, grid)
     y = meas.values
-    y_energy = _energy(y)
+    # not the energy: squared, |y| below about 1e-162 underflows to 0
+    nonzero = bool(np.any(y))
     cap = cfg.max_components if cfg.max_components is not None else max(1, min(m_len, n_meas - 1))
     first = np.abs(_grid_estimates(meas, kernels, y))
     first_thresholds = policy.column_thresholds(first)
@@ -504,7 +505,7 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
         atoms = _atoms(meas, kernels[:, cols], bins)
         fitted = _solve_amplitudes(atoms, y)
         left = y - atoms @ fitted
-        ratio = _residual_ratio(left, y) if y_energy > 0 else 0.0
+        ratio = _residual_ratio(left, y) if nonzero else 0.0
         return fitted, left, ratio
 
     def try_extend(entries, candidate):
@@ -531,7 +532,7 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
         tried = np.zeros(first.shape, dtype=bool)  # cells never considered twice
         amps = np.zeros(0, dtype=np.complex128)
         residual = y.copy()
-        residual_ratio = 1.0 if y_energy > 0 else 0.0
+        residual_ratio = 1.0 if nonzero else 0.0
 
         for pi, b, mag in seed:
             tried[pi, b] = True

@@ -1,11 +1,15 @@
 """Config grammar and command-line behaviour: parsing, errors, exit codes."""
 
 import os
+import re
 from importlib import resources
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from pftcs import cli, recovery
+from pftcs import cli, experiments, recovery
 from pftcs.config import ConfigError, parse_config, parse_config_string
 from pftcs.recovery import ThresholdPolicy
 
@@ -107,7 +111,41 @@ seed = 2
 rates = 0 16
 """
 
-TINY = {"recover": TINY_RECOVER, "lpft": TINY_LPFT, "snr": TINY_SNR, "pt": TINY_PT}
+# sweep-recover with an independent 4-sample mask in each 16-sample window
+PER_WINDOW_RECOVER = TINY_RECOVER.replace(
+    "count = 24", "count = 4\nper_window = true") + "\n[lpft]\nwindow = 16\n"
+
+TINY = {"recover": TINY_RECOVER, "lpft": TINY_LPFT, "snr": TINY_SNR, "pt": TINY_PT,
+        "per_window": PER_WINDOW_RECOVER}
+
+# Two equal chirps on a 5-point grid; AMP is replaced by the amplitude.
+TWO_CHIRPS = """\
+[experiment]
+kind = sweep-recover
+
+[signal]
+length = 64
+
+[component.1]
+amplitude = AMP
+coeffs = 10 -24
+
+[component.2]
+amplitude = AMP
+coeffs = 40 8
+
+[sampling]
+count = 16
+seed = 8
+
+[grid]
+degree = 2
+values = -24 -8 0 8 24
+
+[policy]
+kind = relative-to-max
+ratio = 0.5
+"""
 
 # Two components that cancel exactly: the clean reference has zero energy.
 CANCELLING = """\
@@ -161,6 +199,26 @@ OVERFLOWING = [
     # each alone is finite (64 * 1.2e153^2 = 9.2e307), their sum is not
     pytest.param("recover", "amplitude = 1\ncoeffs = 10 -24", JOINTLY_OVERFLOWING,
                  "component.2", id="joint"),
+]
+
+# Subnormal amplitudes: a fit's residual ratio divides by max|measurement|.
+SUBNORMAL = [
+    pytest.param("recover", "[component.1]\namplitude = 1", "[component.1]\namplitude = 1e-320",
+                 "component.1", id="component"),
+    pytest.param("lpft", "[piece.2]\n", "[piece.2]\namplitude = 2e-310j\n", "piece.2",
+                 id="piece"),
+]
+
+# Sampling that parse_config rejects: (config, old, new, message pattern).
+BAD_SAMPLING = [
+    pytest.param("lpft", "count = 8", "count = 40",
+                 r"\[sampling\] measurement count 40 exceeds window 16", id="count-per-window"),
+    pytest.param("lpft", "count = 8", "fraction = 0.02",
+                 r"\[sampling\] fraction 0.02 of window 16 rounds to 0", id="fraction-per-window"),
+    pytest.param("recover", "count = 24", "count = 4\nper_window = true",
+                 r"missing required section \[lpft\]", id="per-window-without-lpft"),
+    pytest.param("recover", "count = 24\n", "", r"\[sampling\] needs count or fraction",
+                 id="no-count"),
 ]
 
 
@@ -238,9 +296,7 @@ class TestParseHappyPaths:
 
     def test_sampling_fraction(self):
         text = TINY_RECOVER.replace("count = 24", "fraction = 0.25")
-        config = parse_config_string(text)
-        assert config.sampling_count is None
-        assert config.sampling_fraction == 0.25
+        assert parse_config_string(text).sampling_count == 16
 
 
 class TestParseErrors:
@@ -417,6 +473,16 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match=rf"\[{section}\] amplitude: "):
             parse_config_string(TINY[name].replace(old, new))
 
+    @pytest.mark.parametrize("name, old, new, section", SUBNORMAL)
+    def test_subnormal_amplitude_rejected(self, name, old, new, section):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] amplitude: magnitude "):
+            parse_config_string(TINY[name].replace(old, new))
+
+    @pytest.mark.parametrize("name, old, new, message", BAD_SAMPLING)
+    def test_bad_sampling_rejected(self, name, old, new, message):
+        with pytest.raises(ConfigError, match=message):
+            parse_config_string(TINY[name].replace(old, new))
+
     def test_large_finite_energy_accepted(self):
         # 64 * (1e153)**2 = 6.4e307 is still finite
         text = TINY_RECOVER.replace("amplitude = 1", "amplitude = 1e153")
@@ -470,6 +536,8 @@ class TestParseErrors:
         ("snr", "noise", "kind = complex-gaussian\nsnr_db = 3"),
         ("snr", "sampling", "count = 8"),
         ("snr", "lpft", "window = 8"),
+        ("recover", "lpft", "window = 16"),
+        ("snr", "piece.1", "coeffs = 3 8\nstart = 0\nstop = 64"),
     ])
     def test_unread_section_rejected(self, kind, section, entry):
         # a misspelled or inapplicable section would be silently ignored
@@ -496,7 +564,7 @@ class TestParseErrors:
     def test_smallest_fraction_accepted(self):
         # round(0.008 * 64) == 1 measurement
         text = TINY_RECOVER.replace("count = 24", "fraction = 0.008")
-        assert parse_config_string(text).sampling_fraction == 0.008
+        assert parse_config_string(text).sampling_count == 1
 
     @pytest.mark.parametrize("origin", ["5", "-31"])
     def test_snr_table_origin_rejected(self, origin):
@@ -650,6 +718,35 @@ class TestCliExitCodes:
         assert "[component.2] amplitude: " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_subnormal_amplitude_is_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TWO_CHIRPS.replace("AMP", "1e-320"))
+        out = tmp_path / "o"
+        code = cli.main(["recover", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert "[component.1] amplitude: magnitude 1e-320 " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("amplitude", ["1e-300", "2.3e-308"])
+    def test_tiny_amplitudes_recovered(self, tmp_path, capsys, amplitude):
+        # the squared measurements underflow to 0 below about 1.5e-162
+        cfg = write_config(tmp_path, TWO_CHIRPS.replace("AMP", amplitude))
+        code = cli.main(["recover", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "component: bin 40, rate_p2 -8 (coeff 8)" in out
+        assert "component: bin 10, rate_p2 24 (coeff -24)" in out
+        error = re.search(r"relative reconstruction error: (\S+)", out).group(1)
+        assert float(error) < 1e-20
+
+    @pytest.mark.parametrize("name, old, new, message", BAD_SAMPLING)
+    def test_bad_sampling_is_2(self, tmp_path, capsys, name, old, new, message):
+        cfg = write_config(tmp_path, TINY[name].replace(old, new))
+        out = tmp_path / "o"
+        code = cli.main(["sample", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not out.exists()
+
     def test_missing_config_file_is_4(self, tmp_path, capsys):
         code = cli.main(["recover", "--config", str(tmp_path / "absent.cfg"),
                          "--out", str(tmp_path / "o")])
@@ -736,6 +833,17 @@ class TestCliDeterminism:
     def read_all(self, folder):
         return {name: (folder / name).read_bytes() for name in os.listdir(folder)}
 
+    @pytest.mark.parametrize("name, command", [
+        ("recover", "recover"), ("lpft", "lpft"), ("per_window", "recover"),
+    ])
+    def test_sweep_stage_matches_full_run(self, tmp_path, name, command):
+        cfg = write_config(tmp_path, TINY[name])
+        stage, full = tmp_path / "stage", tmp_path / "full"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(stage)]) == 0
+        assert cli.main([command, "--config", cfg, "--out", str(full)]) == 0
+        for file in ("signal.csv", "measurements.csv", "sweep.csv"):
+            assert (stage / file).read_bytes() == (full / file).read_bytes(), file
+
     def test_same_config_same_bytes(self, tmp_path):
         cfg = write_config(tmp_path, TINY_RECOVER)
         first = tmp_path / "a"
@@ -753,6 +861,51 @@ class TestCliDeterminism:
                          "--seed", "99"]) == 0
         assert ((base / "measurements.csv").read_bytes()
                 != (moved / "measurements.csv").read_bytes())
+
+
+@st.composite
+def sampling_cases(draw):
+    """A measured config with drawn sampling, window and length, and the
+    drawn count (or None) and fraction (or None)."""
+    length = draw(st.sampled_from([8, 12, 16, 32, 64]))
+    kind = draw(st.sampled_from(["sweep-recover", "lpft-recover"]))
+    per_window = draw(st.booleans())
+    window = draw(st.sampled_from([2, 4, 8, 16]) | st.integers(-1, 80))
+    count = fraction = None
+    if draw(st.booleans()):
+        count = draw(st.integers(-1, 17) | st.integers(-2, 80))
+        amount = f"count = {count}"
+    else:
+        fraction = draw(st.floats(0, 1) | st.floats(-0.5, 1.5) | st.just(float("nan")))
+        amount = f"fraction = {fraction!r}"
+    lpft = f"[lpft]\nwindow = {window}\n" if kind == "lpft-recover" or per_window else ""
+    text = (f"[experiment]\nkind = {kind}\n\n"
+            f"[signal]\nlength = {length}\n"
+            f"origin = {draw(st.sampled_from(['zero', 'centered', '-3']))}\n\n"
+            "[component.1]\ncoeffs = 3 8\n\n"
+            f"[sampling]\n{amount}\nper_window = {per_window}\n"
+            f"seed = {draw(st.integers(0, 2**32 - 1))}\n\n"
+            "[grid]\ndegree = 2\nvalues = 0 8\n\n"
+            f"[policy]\nkind = relative-to-max\n\n{lpft}")
+    return text, count, fraction
+
+
+class TestSamplingResolvedAtParse:
+    @settings(max_examples=300, deadline=None)
+    @given(sampling_cases())
+    def test_parsed_sampling_is_drawable(self, case):
+        # a config either fails to parse or draws its masks without error
+        text, count, fraction = case
+        try:
+            config = parse_config_string(text)
+        except ConfigError:
+            return
+        span = config.window if config.per_window else config.signal_length
+        assert config.sampling_count == (count if fraction is None else round(fraction * span))
+        meas = experiments._measure(config, experiments.synthesize_config_signal(config))
+        per_span = np.bincount((meas.positions - config.index_origin) // span,
+                               minlength=config.signal_length // span)
+        assert per_span.tolist() == [config.sampling_count] * (config.signal_length // span)
 
 
 if __name__ == "__main__":
