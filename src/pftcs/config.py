@@ -20,6 +20,9 @@ from .recovery import ParameterGrid, RecoverConfig, ThresholdPolicy, _check_esti
 __all__ = ["ConfigError", "ExperimentConfig", "Piece", "parse_config", "parse_config_string"]
 
 KINDS = ("sweep-recover", "lpft-recover", "snr-table", "phase-transition")
+# Largest phase, in cycles, that a component may reach: |m/M| <= 1 bounds it
+# by sum |c_p|, and a double of at most 2^32 keeps at least 20 fractional bits.
+MAX_PHASE_CYCLES = 2 ** 32
 
 
 class ConfigError(ValueError):
@@ -143,6 +146,10 @@ def _component_from(section: _Section) -> PolyPhaseComponent:
         component = PolyPhaseComponent(amplitude, coeffs)
     except ValueError as exc:
         raise ConfigError(f"[{section.name}] {exc}") from None
+    cycles = math.fsum(abs(c) for c in component.phase_coeffs)
+    if cycles > MAX_PHASE_CYCLES:
+        raise ConfigError(f"[{section.name}] coeffs: sum of |c_p| {cycles!r} exceeds "
+                          f"{MAX_PHASE_CYCLES} cycles, too large to keep a fractional phase")
     # the fits divide by max|measurement|, which overflows when it is subnormal
     magnitude = abs(component.amplitude)
     if magnitude < sys.float_info.min:

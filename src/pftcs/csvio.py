@@ -1,16 +1,23 @@
 """CSV artifact writers and their round-trip readers.
 
 Every writer is atomic (temp file in the target directory, then
-``os.replace``) and emits floats through ``repr``, the shortest
-representation that parses back to the exact same double.  Runs with the
-same seeds therefore produce byte-identical files.  Grid positions are
-1-based in files; in-memory indices stay 0-based.
+``os.replace``) and writes the same bytes that ``csv.writer``'s default
+dialect would: a header row, ``\\r\\n`` line ends and no quoting (no cell
+holds a comma, quote or line break).  Floats are written as the ``repr``
+of the Python float, the shortest text that parses back to the exact same
+double, and magnitudes as ``abs()`` of each Python ``complex`` (libm
+``hypot``, ``inf`` where it overflows; vectorised ``np.abs`` can differ in
+the last bit).  Runs with the same seeds therefore produce byte-identical
+files.  Writers format a column at a time and write each file in one
+call.  Grid positions are 1-based in files; in-memory indices stay 0-based.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
+import math
 import os
 import tempfile
 
@@ -33,18 +40,40 @@ __all__ = [
 ]
 
 
-def _fmt(value) -> str:
-    return repr(float(value))
+def _floats(values):
+    """A float column: each value as a Python float, whose ``%s`` is its ``repr``."""
+    return np.asarray(values, dtype=np.float64).tolist()
 
 
-def _atomic_write(path, emit):
-    """Write rows through ``emit(csv_writer)``; atomic on success."""
+def _magnitude(value: complex) -> float:
+    # Python raises where the modulus of a finite value overflows
+    try:
+        return abs(value)
+    except OverflowError:
+        return math.inf
+
+
+def _magnitudes(values):
+    """A float column of ``abs()`` of each value as a Python complex, inf
+    where that overflows."""
+    values = np.asarray(values, dtype=np.complex128).tolist()
+    try:
+        return list(map(abs, values))
+    except OverflowError:
+        return list(map(_magnitude, values))
+
+
+def _atomic_write(path, header, *columns):
+    """Write ``header`` and one row per entry of the equal-length
+    ``columns`` (cells of text, ints or Python floats); atomic on success."""
+    row = ",".join(["%s"] * len(header)) + "\r\n"
+    text = ",".join(header) + "\r\n" + "".join(map(row.__mod__, zip(*columns)))
     path = os.fspath(path)
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".csvtmp")
     try:
         with os.fdopen(fd, "w", newline="") as handle:
-            emit(csv.writer(handle))
+            handle.write(text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -62,13 +91,9 @@ def _read_rows(path, expected_header) -> list:
 
 def write_signal_csv(path, samples, index_origin=0):
     samples = np.asarray(samples, dtype=np.complex128)
-
-    def emit(writer):
-        writer.writerow(["index", "re", "im"])
-        for offset, value in enumerate(samples):
-            writer.writerow([index_origin + offset, _fmt(value.real), _fmt(value.imag)])
-
-    _atomic_write(path, emit)
+    _atomic_write(path, ["index", "re", "im"],
+                  range(index_origin, index_origin + samples.size),
+                  _floats(samples.real), _floats(samples.imag))
 
 
 def read_signal_csv(path):
@@ -81,13 +106,9 @@ def read_signal_csv(path):
 
 
 def write_measurements_csv(path, meas):
-    def emit(writer):
-        writer.writerow(["position", "re", "im", "signal_length", "index_origin"])
-        for pos, value in zip(meas.positions, meas.values):
-            writer.writerow([int(pos), _fmt(value.real), _fmt(value.imag),
-                             meas.signal_length, meas.index_origin])
-
-    _atomic_write(path, emit)
+    _atomic_write(path, ["position", "re", "im", "signal_length", "index_origin"],
+                  meas.positions.tolist(), _floats(meas.values.real), _floats(meas.values.imag),
+                  itertools.repeat(meas.signal_length), itertools.repeat(meas.index_origin))
 
 
 def read_measurements_csv(path):
@@ -102,12 +123,9 @@ def read_measurements_csv(path):
 
 
 def write_spectrum_csv(path, spectrum: Spectrum):
-    def emit(writer):
-        writer.writerow(["bin", "re", "im", "magnitude"])
-        for k, value in enumerate(spectrum.coeffs):
-            writer.writerow([k, _fmt(value.real), _fmt(value.imag), _fmt(abs(value))])
-
-    _atomic_write(path, emit)
+    coeffs = spectrum.coeffs
+    _atomic_write(path, ["bin", "re", "im", "magnitude"], range(coeffs.size),
+                  _floats(coeffs.real), _floats(coeffs.imag), _magnitudes(coeffs))
 
 
 def read_spectrum_csv(path) -> Spectrum:
@@ -118,15 +136,10 @@ def read_spectrum_csv(path) -> Spectrum:
 def write_sweep_csv(path, sweep: SweepResult):
     """Sweep scores; ``grid_index`` is 1-based, ``peak_bin`` empty when none."""
     grid = sweep.grid
-
-    def emit(writer):
-        writer.writerow(["grid_index", *[f"rate_p{order}" for order, _ in grid.orders],
-                         "peak_magnitude", "peak_bin"])
-        rows = zip(grid.rates.tolist(), sweep.scores.tolist(), sweep.peaks.tolist())
-        for g, (rates, score, peak) in enumerate(rows):
-            writer.writerow([g + 1, *map(_fmt, rates), _fmt(score), "" if peak < 0 else peak])
-
-    _atomic_write(path, emit)
+    _atomic_write(path, ["grid_index", *[f"rate_p{order}" for order, _ in grid.orders],
+                         "peak_magnitude", "peak_bin"],
+                  range(1, grid.n_points + 1), *map(_floats, grid.rates.T), _floats(sweep.scores),
+                  ["" if peak < 0 else peak for peak in sweep.peaks.tolist()])
 
 
 def read_sweep_csv(path):
@@ -149,20 +162,14 @@ def write_components_csv(path, components):
     components = list(components)
     max_order = max((c.params.max_order for c in components), default=1)
     orders = list(range(2, max_order + 1))
-
-    def emit(writer):
-        writer.writerow(["freq_bin", *[f"coeff_p{o}" for o in orders],
-                         "raw_magnitude", "amplitude_re", "amplitude_im"])
-        for comp in components:
-            coeffs = comp.params.full_coeffs()
-            amp = comp.corrected_amplitude or 0j
-            writer.writerow([
-                comp.freq_bin,
-                *[_fmt(coeffs[o - 1]) for o in orders],
-                _fmt(comp.raw_magnitude), _fmt(amp.real), _fmt(amp.imag),
-            ])
-
-    _atomic_write(path, emit)
+    coeffs = [comp.params.full_coeffs() for comp in components]
+    amps = np.array([comp.corrected_amplitude or 0j for comp in components], dtype=np.complex128)
+    _atomic_write(path, ["freq_bin", *[f"coeff_p{o}" for o in orders],
+                         "raw_magnitude", "amplitude_re", "amplitude_im"],
+                  [comp.freq_bin for comp in components],
+                  *[_floats([c[o - 1] for c in coeffs]) for o in orders],
+                  _floats([comp.raw_magnitude for comp in components]),
+                  _floats(amps.real), _floats(amps.imag))
 
 
 def read_components_csv(path) -> list:
@@ -183,14 +190,12 @@ def read_components_csv(path) -> list:
 
 
 def write_spectrogram_csv(path, spectrogram):
-    def emit(writer):
-        writer.writerow(["window_index", "bin", "re", "im", "magnitude"])
-        for b in range(spectrogram.n_windows):
-            for k in range(spectrogram.window):
-                value = spectrogram.blocks[b, k]
-                writer.writerow([b, k, _fmt(value.real), _fmt(value.imag), _fmt(abs(value))])
-
-    _atomic_write(path, emit)
+    n_windows, window = spectrogram.blocks.shape
+    values = spectrogram.blocks.ravel()
+    _atomic_write(path, ["window_index", "bin", "re", "im", "magnitude"],
+                  np.repeat(np.arange(n_windows), window).tolist(),
+                  np.tile(np.arange(window), n_windows).tolist(),
+                  _floats(values.real), _floats(values.imag), _magnitudes(values))
 
 
 def read_spectrogram_csv(path) -> np.ndarray:
@@ -208,21 +213,17 @@ def read_spectrogram_csv(path) -> np.ndarray:
 
 def write_assignments_csv(path, result):
     """Per-window winners; bins and amplitudes are semicolon-joined lists."""
-
-    def emit(writer):
-        writer.writerow(["window_index", "start", "grid_index", "residual_ratio",
-                         "bins", "amplitude_re", "amplitude_im"])
-        for a in result.assignments:
-            writer.writerow([
-                a.window_index, a.start,
-                "" if a.grid_index is None else a.grid_index + 1,
-                "" if a.residual_ratio is None else _fmt(a.residual_ratio),
-                ";".join(str(b) for b in a.bins),
-                ";".join(_fmt(amp.real) for amp in a.amplitudes),
-                ";".join(_fmt(amp.imag) for amp in a.amplitudes),
-            ])
-
-    _atomic_write(path, emit)
+    rows = result.assignments
+    amps = [np.array(a.amplitudes, dtype=np.complex128) for a in rows]
+    _atomic_write(path, ["window_index", "start", "grid_index", "residual_ratio",
+                         "bins", "amplitude_re", "amplitude_im"],
+                  [a.window_index for a in rows], [a.start for a in rows],
+                  ["" if a.grid_index is None else a.grid_index + 1 for a in rows],
+                  ["" if a.residual_ratio is None else float(a.residual_ratio)
+                   for a in rows],
+                  [";".join(map(str, a.bins)) for a in rows],
+                  [";".join(map(repr, amp.real.tolist())) for amp in amps],
+                  [";".join(map(repr, amp.imag.tolist())) for amp in amps])
 
 
 def read_assignments_csv(path) -> list:
@@ -242,13 +243,10 @@ def read_assignments_csv(path) -> list:
 
 
 def write_phase_transition_csv(path, grid: PhaseTransitionGrid):
-    def emit(writer):
-        writer.writerow(["components", "measurements", "success_fraction"])
-        for i, k in enumerate(grid.k_values):
-            for j, n in enumerate(grid.n_values):
-                writer.writerow([k, n, _fmt(grid.success[i, j])])
-
-    _atomic_write(path, emit)
+    _atomic_write(path, ["components", "measurements", "success_fraction"],
+                  [k for k in grid.k_values for _ in grid.n_values],
+                  [n for _ in grid.k_values for n in grid.n_values],
+                  _floats(grid.success.ravel()))
 
 
 def read_phase_transition_csv(path):
@@ -269,14 +267,13 @@ _SNR_HEADER = ["snr_in_db", "measurements", "components", "trials", "failures",
 
 
 def write_snr_table_csv(path, reports):
-    def emit(writer):
-        writer.writerow(_SNR_HEADER)
-        for rep in reports:
-            writer.writerow([_fmt(rep.snr_in_db), rep.n_measurements,
-                             rep.k_components, rep.trials, rep.failures,
-                             _fmt(rep.snr_out_theory_db), _fmt(rep.snr_out_measured_db)])
-
-    _atomic_write(path, emit)
+    reports = list(reports)
+    _atomic_write(path, _SNR_HEADER,
+                  _floats([r.snr_in_db for r in reports]),
+                  *[[getattr(r, key) for r in reports]
+                    for key in ("n_measurements", "k_components", "trials", "failures")],
+                  _floats([r.snr_out_theory_db for r in reports]),
+                  _floats([r.snr_out_measured_db for r in reports]))
 
 
 def read_snr_table_csv(path) -> list:

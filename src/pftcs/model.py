@@ -9,6 +9,7 @@ complex noise scaled exactly to a target input SNR.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,12 @@ __all__ = [
     "select_measurements",
     "apply_noise",
 ]
+
+# Most a least-squares amplitude can exceed max|measurement| by: over atoms of
+# unit modulus whose Gram matrix has a condition number of at most
+# ``recovery.COND_LIMIT = FIT_GAIN**2``, the amplitude vector's norm is at
+# most ``FIT_GAIN`` times the largest measurement modulus.
+FIT_GAIN = 1e6
 
 
 def phase_cycles(coeffs, positions, length):
@@ -134,7 +141,11 @@ class MeasurementSet:
 
     ``positions`` are strictly increasing integers in
     ``[index_origin, index_origin + signal_length)``; ``values`` holds the
-    signal at those positions.
+    signal at those positions, each of modulus at most the largest double
+    over ``signal_length * FIT_GAIN``.  The largest intermediates of a
+    recovery are then finite: a scatter-FFT cell sums up to ``M`` values, a
+    normal-equation right-hand side ``N <= M``, and a fitted amplitude is
+    at most ``FIT_GAIN`` times ``max|v|``.
     """
 
     positions: np.ndarray
@@ -149,12 +160,16 @@ class MeasurementSet:
         object.__setattr__(self, "values", val)
         if pos.ndim != 1 or val.ndim != 1 or pos.size != val.size:
             raise ValueError("positions and values must be 1-d and the same size")
-        if not np.all(np.isfinite(val)):
-            raise ValueError("measurement values must be finite")
         if not 1 <= pos.size <= self.signal_length:
             raise ValueError(
                 f"need between 1 and {self.signal_length} measurements, got {pos.size}"
             )
+        bound = sys.float_info.max / (self.signal_length * FIT_GAIN)
+        peak = float(np.max(np.abs(val)))
+        if not peak <= bound:  # also catches nan
+            raise ValueError(f"measurement values must be finite with modulus at most "
+                             f"{bound!r}, the largest double over signal_length "
+                             f"{self.signal_length} times {FIT_GAIN:g}; got {peak!r}")
         if np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing")
         lo = self.index_origin

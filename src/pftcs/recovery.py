@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import MeasurementSet, phase_cycles
+from .model import FIT_GAIN, MeasurementSet, phase_cycles
 from .transform import KernelParams, Spectrum, kernel_values_at
 
 __all__ = [
@@ -38,8 +38,9 @@ __all__ = [
     "recover",
 ]
 
-# Condition-number ceiling for the normal equations of the amplitude solve.
-COND_LIMIT = 1e12
+# Condition-number ceiling for the normal equations of the amplitude solve;
+# it caps every fitted amplitude at FIT_GAIN * max|measurement|.
+COND_LIMIT = FIT_GAIN ** 2
 # Strongest positive cells that :func:`_best_pair` pairs up.
 PAIR_POOL = 40
 # Support entries whose amplitude is at most this fraction of the strongest
@@ -447,6 +448,11 @@ def _best_pair(meas: MeasurementSet, kernels: np.ndarray, mags: np.ndarray):
     atoms = _atoms(meas, kernels[:, cols], bins)
     gram = atoms.conj().T @ atoms
     corr = atoms.conj().T @ meas.values
+    # the scores below are quadratic in corr; scaling it by a power of two to
+    # max|corr| in [0.5, 1) keeps them finite and scales each by the same
+    # power of two, so the argmax stays (ldexp also reaches subnormal corr)
+    exponent = np.frexp(np.max(np.abs(corr)))[1]
+    corr = np.ldexp(corr.view(np.float64), -exponent).view(np.complex128)
     diag = np.real(np.diag(gram)).copy()
     det = diag[:, None] * diag[None, :] - np.abs(gram) ** 2
     # closed-form 2x2 least squares for every (i, j) pair at once

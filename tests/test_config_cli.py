@@ -201,6 +201,17 @@ OVERFLOWING = [
                  "component.2", id="joint"),
 ]
 
+# Phase coefficients whose sum of magnitudes, the largest phase in cycles,
+# is above 2**32: a double then keeps at most 20 bits of the phase fraction.
+HUGE_COEFFS = [
+    pytest.param("recover", "coeffs = 10 -24", "coeffs = 3 1e300", "component.1", id="component"),
+    pytest.param("lpft", "coeffs = 0 -56", "coeffs = 0 -4294967297", "piece.2", id="piece"),
+    pytest.param("snr", "coeffs = 8 -32", "coeffs = 8 -1e10", "component.1", id="snr-table"),
+    # each term is below the bound, their sum is not
+    pytest.param("recover", "coeffs = 10 -24", "coeffs = 2147483648 -2147483649",
+                 "component.1", id="sum"),
+]
+
 # Subnormal amplitudes: a fit's residual ratio divides by max|measurement|.
 SUBNORMAL = [
     pytest.param("recover", "[component.1]\namplitude = 1", "[component.1]\namplitude = 1e-320",
@@ -473,6 +484,15 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match=rf"\[{section}\] amplitude: "):
             parse_config_string(TINY[name].replace(old, new))
 
+    @pytest.mark.parametrize("name, old, new, section", HUGE_COEFFS)
+    def test_huge_phase_coefficients_rejected(self, name, old, new, section):
+        with pytest.raises(ConfigError, match=rf"\[{section}\] coeffs: "):
+            parse_config_string(TINY[name].replace(old, new))
+
+    def test_phase_coefficients_at_bound_accepted(self):
+        text = TINY_RECOVER.replace("coeffs = 10 -24", "coeffs = 2147483648 -2147483648")
+        assert parse_config_string(text).components[0].phase_coeffs == (2.0 ** 31, -2.0 ** 31)
+
     @pytest.mark.parametrize("name, old, new, section", SUBNORMAL)
     def test_subnormal_amplitude_rejected(self, name, old, new, section):
         with pytest.raises(ConfigError, match=rf"\[{section}\] amplitude: magnitude "):
@@ -716,6 +736,14 @@ class TestCliExitCodes:
         code = cli.main(["recover", "--config", cfg, "--out", str(out)])
         assert code == 2
         assert "[component.2] amplitude: " in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_huge_phase_coefficients_are_2(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TINY_RECOVER.replace("coeffs = 10 -24", "coeffs = 3 1e300"))
+        out = tmp_path / "o"
+        code = cli.main(["recover", "--config", cfg, "--out", str(out)])
+        assert code == 2
+        assert "[component.1] coeffs: " in capsys.readouterr().err
         assert not out.exists()
 
     def test_subnormal_amplitude_is_2(self, tmp_path, capsys):

@@ -1,7 +1,17 @@
 """CSV artifact tests: round-trips, byte stability, file vocabulary."""
 
+import csv
+import io
+import math
+import os
+import tempfile
+from importlib import resources
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pftcs import (
     DetectedComponent,
@@ -20,8 +30,14 @@ from pftcs import (
     sweep,
     synthesize_components,
     MultiComponentSignal,
+    PhaseTransitionGrid,
+    SnrReport,
+    WindowAssignment,
+    parse_config,
+    run_experiment,
 )
 from pftcs import csvio
+from pftcs.lpft import LpftSpectrogram
 
 
 def file_bytes(path):
@@ -230,3 +246,189 @@ class TestFloatFidelity:
         csvio.write_signal_csv(path, values)
         back, _ = csvio.read_signal_csv(path)
         np.testing.assert_array_equal(back, values)
+
+
+# Edge floats every writer must render like ``repr``: signed zero,
+# subnormals, the exponent switch points of repr, and the non-finite values.
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, -2.5e-310, 1e-05, 1e+16, 1.5e308,
+               math.inf, -math.inf, math.nan)
+any_floats = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+finite_floats = st.one_of(st.sampled_from(EDGE_FLOATS[:6]), st.floats(-1e300, 1e300))
+
+
+def complex_array(parts):
+    values = np.empty(len(parts), dtype=np.complex128)
+    values.real = [re for re, _ in parts]
+    values.imag = [im for _, im in parts]
+    return values
+
+
+complex_lists = st.lists(st.tuples(any_floats, any_floats), max_size=40).map(complex_array)
+
+
+def cell(value):
+    return repr(float(value))
+
+
+def magnitude(value):
+    try:
+        return cell(abs(complex(value)))
+    except OverflowError:  # the modulus of a finite value can exceed every double
+        return "inf"
+
+
+def reference(header, rows):
+    """The byte format: ``csv.writer``'s default dialect over text cells."""
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode()
+
+
+def written(write, *args):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "out.csv")
+        write(path, *args)
+        assert os.listdir(tmp) == ["out.csv"]
+        return file_bytes(path)
+
+
+class TestByteFormatOracle:
+    """Every writer emits exactly the bytes of the row-by-row reference."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(complex_lists, st.integers(-100, 100))
+    def test_signal(self, samples, origin):
+        expected = reference(["index", "re", "im"],
+                             [[origin + k, cell(v.real), cell(v.imag)]
+                              for k, v in enumerate(samples)])
+        assert written(csvio.write_signal_csv, samples, origin) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sets(st.integers(0, 63), min_size=1, max_size=20),
+           st.lists(st.tuples(finite_floats, finite_floats), min_size=20, max_size=20))
+    def test_measurements(self, positions, parts):
+        positions = sorted(positions)
+        meas = MeasurementSet(positions, complex_array(parts[:len(positions)]), 64, 0)
+        expected = reference(["position", "re", "im", "signal_length", "index_origin"],
+                             [[p, cell(v.real), cell(v.imag), 64, 0]
+                              for p, v in zip(positions, meas.values)])
+        assert written(csvio.write_measurements_csv, meas) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(complex_lists.filter(len))
+    def test_spectrum(self, coeffs):
+        expected = reference(["bin", "re", "im", "magnitude"],
+                             [[k, cell(v.real), cell(v.imag), magnitude(v)]
+                              for k, v in enumerate(coeffs)])
+        assert written(csvio.write_spectrum_csv, Spectrum(coeffs)) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_sweep(self, data):
+        rates = st.lists(finite_floats, min_size=1, max_size=4, unique=True).map(sorted)
+        grid = ParameterGrid(((2, data.draw(rates)), (3, data.draw(rates))))
+        size = grid.n_points
+        scores = data.draw(st.lists(any_floats, min_size=size, max_size=size))
+        peaks = data.draw(st.lists(st.integers(-1, 100), min_size=size, max_size=size))
+        expected = reference(
+            ["grid_index", "rate_p2", "rate_p3", "peak_magnitude", "peak_bin"],
+            [[g + 1, cell(r2), cell(r3), cell(score), "" if peak < 0 else peak]
+             for g, ((r2, r3), score, peak) in enumerate(zip(grid.rates, scores, peaks))])
+        found = SweepResult(grid, np.array(scores), np.array(peaks))
+        assert written(csvio.write_sweep_csv, found) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2), st.data())
+    def test_components(self, n_higher, data):
+        component = st.builds(
+            DetectedComponent,
+            st.lists(finite_floats, min_size=n_higher, max_size=n_higher).map(KernelParams),
+            st.integers(0, 1024),
+            st.floats(min_value=0.0, exclude_min=True),
+            st.one_of(st.none(), st.builds(complex, any_floats, any_floats)),
+        )
+        comps = data.draw(st.lists(component, max_size=6))
+        orders = range(2, n_higher + 2) if comps else ()
+        rows = []
+        for c in comps:
+            amp = c.corrected_amplitude or 0j
+            rows.append([c.freq_bin, *[cell(c.params.full_coeffs()[o - 1]) for o in orders],
+                         cell(c.raw_magnitude), cell(amp.real), cell(amp.imag)])
+        expected = reference(["freq_bin", *[f"coeff_p{o}" for o in orders],
+                              "raw_magnitude", "amplitude_re", "amplitude_im"], rows)
+        assert written(csvio.write_components_csv, comps) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 8), st.data())
+    def test_spectrogram(self, n_windows, window, data):
+        size = n_windows * window
+        parts = data.draw(st.lists(st.tuples(any_floats, any_floats),
+                                   min_size=size, max_size=size))
+        blocks = complex_array(parts).reshape(n_windows, window)
+        spect = LpftSpectrogram(blocks, window, size, 0, KernelParams(()), (0,) * n_windows)
+        expected = reference(["window_index", "bin", "re", "im", "magnitude"],
+                             [[b, k, cell(v.real), cell(v.imag), magnitude(v)]
+                              for b in range(n_windows) for k, v in enumerate(blocks[b])])
+        assert written(csvio.write_spectrogram_csv, spect) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.one_of(st.none(), st.integers(0, 40)),
+        st.one_of(st.none(), any_floats),
+        st.lists(st.tuples(st.integers(0, 63), st.builds(complex, any_floats, any_floats)),
+                 max_size=3),
+    ), max_size=6))
+    def test_assignments(self, drawn):
+        rows = [WindowAssignment(b, 16 * b, g, None, tuple(k for k, _ in fits),
+                                 tuple(a for _, a in fits), ratio)
+                for b, (g, ratio, fits) in enumerate(drawn)]
+        expected = reference(
+            ["window_index", "start", "grid_index", "residual_ratio",
+             "bins", "amplitude_re", "amplitude_im"],
+            [[a.window_index, a.start, "" if a.grid_index is None else a.grid_index + 1,
+              "" if a.residual_ratio is None else cell(a.residual_ratio),
+              ";".join(str(k) for k in a.bins),
+              ";".join(cell(amp.real) for amp in a.amplitudes),
+              ";".join(cell(amp.imag) for amp in a.amplitudes)] for a in rows])
+        written_bytes = written(csvio.write_assignments_csv, SimpleNamespace(assignments=rows))
+        assert written_bytes == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 5), st.data())
+    def test_phase_transition(self, n_k, n_n, data):
+        success = np.array(data.draw(st.lists(any_floats, min_size=n_k * n_n,
+                                              max_size=n_k * n_n))).reshape(n_k, n_n)
+        k_values = tuple(range(1, n_k + 1))
+        n_values = tuple(range(4, 4 * n_n + 1, 4))
+        grid = PhaseTransitionGrid(k_values, n_values, success, 1, 64, (0.0,), 0)
+        expected = reference(["components", "measurements", "success_fraction"],
+                             [[k, n, cell(success[i, j])] for i, k in enumerate(k_values)
+                              for j, n in enumerate(n_values)])
+        assert written(csvio.write_phase_transition_csv, grid) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(any_floats, st.integers(1, 1024), st.integers(1, 8),
+                              st.integers(0, 1000), any_floats, any_floats), max_size=5))
+    def test_snr_table(self, drawn):
+        reports = [SnrReport(snr, n, k, trials, trials // 3, theory, measured, ())
+                   for snr, n, k, trials, theory, measured in drawn]
+        expected = reference(csvio._SNR_HEADER,
+                             [[cell(r.snr_in_db), r.n_measurements, r.k_components, r.trials,
+                               r.failures, cell(r.snr_out_theory_db),
+                               cell(r.snr_out_measured_db)] for r in reports])
+        assert written(csvio.write_snr_table_csv, reports) == expected
+
+
+@pytest.mark.parametrize("name", ["ex1", "ex2", "ex3"])
+def test_bundled_example_reruns_are_byte_identical(tmp_path, name):
+    with resources.as_file(resources.files("pftcs").joinpath("configs", f"{name}.cfg")) as path:
+        config = parse_config(path)
+    run_experiment(config, str(tmp_path / "first"))
+    run_experiment(config, str(tmp_path / "second"))
+    names = sorted(os.listdir(tmp_path / "first"))
+    assert names == sorted(os.listdir(tmp_path / "second"))
+    assert len(names) >= 6
+    for n in names:
+        assert file_bytes(tmp_path / "first" / n) == file_bytes(tmp_path / "second" / n), n

@@ -1,6 +1,8 @@
 """Signal model tests: synthesis, sampling masks, noise scaling."""
 
 import math
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -16,6 +18,7 @@ from pftcs import (
     synthesize,
     synthesize_components,
 )
+from pftcs.model import FIT_GAIN
 
 
 class TestPhaseCycles:
@@ -139,6 +142,18 @@ class TestMeasurementSet:
     def test_rejects_non_finite_values(self, bad):
         with pytest.raises(ValueError, match="finite"):
             MeasurementSet(np.array([0, 1]), np.array([1.0, bad]), 8)
+
+    def test_rejects_values_whose_estimate_overflows(self):
+        # a scatter-FFT cell sums up to M values, so M * max|v| must be finite
+        with pytest.raises(ValueError, match="modulus"):
+            MeasurementSet(np.arange(0, 64, 4), np.full(16, 1e307 + 1e307j), 64)
+
+    def test_accepts_values_at_the_bound(self):
+        bound = sys.float_info.max / (64 * FIT_GAIN)
+        meas = MeasurementSet(np.arange(0, 64, 4), np.full(16, bound + 0j), 64)
+        assert np.max(np.abs(meas.values)) == bound
+        with pytest.raises(ValueError, match=re.escape(repr(bound))):
+            MeasurementSet(np.arange(0, 64, 4), np.full(16, np.nextafter(bound, np.inf)), 64)
 
 
 class TestSelectMeasurements:

@@ -20,6 +20,7 @@ from pftcs import (
     amplitude_correction,
     cs_spectral_estimate,
     kernel_values_at,
+    lpft_recover,
     pft,
     recover,
     reconstruct,
@@ -29,6 +30,7 @@ from pftcs import (
     synthesize_components,
 )
 from pftcs import phase_cycles, recovery
+from pftcs.model import FIT_GAIN
 from pftcs.csvio import write_sweep_csv
 from pftcs.recovery import (
     _atoms,
@@ -864,6 +866,46 @@ class TestBestPair:
         mags = np.zeros((1, 32))
         mags[0, 5] = 32.0
         assert _best_pair(meas, kernels, mags) is None
+
+
+class TestLargestMeasurements:
+    """Measurements at the ``MeasurementSet`` bound, ``M * FIT_GAIN * max|v|``
+    just finite, run through both recovery paths without overflow."""
+
+    GRID = ParameterGrid.single(2, (-16.0, 0.0, 16.0))
+    POSITIONS = np.arange(0, 64, 4)
+
+    def at_bound(self, seed):
+        if seed is None:  # all samples equal, as in a constant signal
+            values = np.full(16, 1 + 1j)
+        else:
+            rng = np.random.default_rng(seed)
+            values = rng.uniform(-1, 1, 16) + 1j * rng.uniform(-1, 1, 16)
+        # one part in 1e15 below, so that rounding cannot cross the bound
+        values *= np.finfo(np.float64).max / (64 * FIT_GAIN) / np.max(np.abs(values)) * (1 - 1e-15)
+        return MeasurementSet(self.POSITIONS, values, 64)
+
+    def test_overflowing_values_never_reach_recovery(self):
+        with pytest.raises(ValueError, match="modulus"):
+            MeasurementSet(self.POSITIONS, np.full(16, 1e307 + 1e307j), 64)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    @pytest.mark.parametrize("pursuit", ["threshold", "exact"])
+    def test_recover(self, seed, pursuit):
+        result = recover(self.at_bound(seed), self.GRID, ThresholdPolicy.relative(0.5),
+                         RecoverConfig(pursuit=pursuit))
+        assert result.components
+        assert np.isfinite(result.measurement_residual_ratio)
+        assert all(np.isfinite(c.corrected_amplitude) for c in result.components)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_lpft_recover(self, seed):
+        result = lpft_recover(self.at_bound(seed), self.GRID, 16, ThresholdPolicy.relative(0.5))
+        fitted = [a for a in result.assignments if a.grid_index is not None]
+        assert fitted
+        for a in fitted:
+            assert np.isfinite(a.residual_ratio)
+            assert np.all(np.isfinite(a.amplitudes))
 
 
 class TestReconstruct:
