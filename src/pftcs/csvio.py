@@ -158,11 +158,16 @@ def read_sweep_csv(path):
 
 
 def write_components_csv(path, components):
-    """Detected components with their corrected complex amplitudes."""
+    """Detected components with their corrected complex amplitudes.
+
+    A component with fewer phase coefficients than the others has its
+    missing higher coefficients written as ``0.0``.
+    """
     components = list(components)
     max_order = max((c.params.max_order for c in components), default=1)
     orders = list(range(2, max_order + 1))
-    coeffs = [comp.params.full_coeffs() for comp in components]
+    coeffs = [comp.params.full_coeffs() + (0.0,) * (max_order - comp.params.max_order)
+              for comp in components]
     amps = np.array([comp.corrected_amplitude or 0j for comp in components], dtype=np.complex128)
     _atomic_write(path, ["freq_bin", *[f"coeff_p{o}" for o in orders],
                          "raw_magnitude", "amplitude_re", "amplitude_im"],

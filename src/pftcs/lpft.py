@@ -8,10 +8,10 @@ occupies and the single-window transform degenerates exactly to the full
 transform.  Piecewise signals are recovered window by window: every
 candidate from the rate grid fits the window's demodulated measurements
 with a few local Fourier bins, and the candidate with the smallest
-residual wins.  A window's candidates are fitted as stacks, one per bin
-count.  The masked window spectra come from the same scatter-FFT
-estimator as the global transform, one batched FFT for every window and
-grid point.
+residual wins.  The (candidate, window) pairs are fitted as stacks, one
+stack per (window sample count, bin count) across all windows.  The masked
+window spectra come from the same scatter-FFT estimator as the global
+transform, one batched FFT for every window and grid point.
 """
 
 from __future__ import annotations
@@ -183,21 +183,28 @@ class LpftRecoveryResult:
         return len(self.assignments)
 
 
-def _candidate_fits(demodulated, rows, chosen):
-    """Least-squares local Fourier fits of a stack of candidates in one window.
+# Most atom cells (pairs times samples times bins) fitted in one stack.  A
+# stack's temporaries grow with it, and this keeps them below the sweep's
+# memory peak while one stack still holds a few hundred small fits.
+FIT_STACK_CELLS = 2**13
 
-    Row ``c`` of the (C, N_b) ``demodulated`` holds the window's samples
-    demodulated by candidate ``c``'s kernel, ``rows`` holds the (N_b, W)
-    Fourier-table rows of the samples' offsets into the window, and row
-    ``c`` of the (C, k) ``chosen`` holds candidate ``c``'s bins.  The
-    kernel has unit modulus, so each fit is that of the raw samples to the
-    atoms ``conj(phi) * exp(2j pi k (m - start)/W)``.  Returns the mask of
-    candidates that pass the rank rule and, for those, their (C', k)
-    amplitudes and relative residual energies.
+
+def _candidate_fits(demodulated, rows, win, chosen):
+    """Least-squares local Fourier fits of a stack of (candidate, window) pairs.
+
+    All windows of the stack hold ``N_b`` samples.  ``rows[w]`` holds the
+    (N_b, W) Fourier-table rows of the offsets of window ``w``'s samples
+    into the window; pair ``p`` fits window ``win[p]``.  Row ``p`` of the
+    (P, N_b) ``demodulated`` holds that window's samples demodulated by the
+    pair's candidate kernel, and row ``p`` of the (P, k) ``chosen`` holds
+    the pair's bins.  The kernel has unit modulus, so each fit is that of
+    the raw samples to the atoms ``conj(phi) * exp(2j pi k (m - start)/W)``.
+    Returns the mask of pairs that pass the rank rule and, for those, their
+    (P', k) amplitudes and relative residual energies.
     """
-    # column-major (N_b, k) atoms, the layout of ``rows[:, bins]``, so that
-    # each stacked product rounds as the same product of one candidate does
-    atoms = rows.T[chosen].swapaxes(1, 2)
+    # column-major (N_b, k) atoms, the layout of ``rows[w][:, bins]``, so
+    # that each stacked product rounds as the same product of one pair does
+    atoms = rows[win[:, None], :, chosen].swapaxes(1, 2)
     gram, rhs, _, solvable = _normal_equations(atoms, demodulated)
     atoms, demodulated = atoms[solvable], demodulated[solvable]
     amps = np.linalg.solve(gram[solvable], rhs[solvable])[..., 0]
@@ -215,13 +222,14 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
     thresholds, strongest first, capped at ``max(1, N_b // 2 - 1)`` to
     leave residual headroom for the comparison), the local Fourier
     amplitudes are fitted by least squares, and the candidate with the
-    smallest computed relative residual is assigned.  The candidates with
-    the same number of bins are fitted as one stack, with the rank rule of
-    every amplitude solve; a rank-deficient candidate is skipped.  A later
-    candidate displaces the best only with a strictly smaller ratio, so
-    candidates that tie in exact arithmetic are decided by the rounding of
-    their ratios, in either direction.  Windows with no measurements or no
-    fitting candidate reconstruct as zeros and are listed in
+    smallest computed relative residual is assigned.  The (candidate,
+    window) pairs are fitted as one stack per (window sample count, bin
+    count) across all windows, split only to bound memory, with the rank
+    rule of every amplitude solve; a rank-deficient pair is skipped.  A
+    later candidate displaces the best only with a strictly smaller ratio,
+    so candidates that tie in exact arithmetic are decided by the rounding
+    of their ratios, in either direction.  Windows with no measurements or
+    no fitting candidate reconstruct as zeros and are listed in
     ``unassigned_windows``.  The result carries the :func:`lpft_sweep`
     result in ``sweep``; compare ``reconstructed`` with a reference by
     :func:`pftcs.analysis.relative_error`.
@@ -229,47 +237,65 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
     length = meas.signal_length
     swept, weighted, detected = _sweep(meas, grid, window, policy)
     cands = np.flatnonzero(swept.scores > 0)
-    owner = _window_of(meas, window)
+    counts = _window_counts(meas, window)
+    n_win = counts.size
+    # positions are strictly increasing, so window b's samples are one run
+    first = np.cumsum(counts) - counts
+    starts = meas.index_origin + window * np.arange(n_win)
     offsets = np.arange(window)
     table = np.exp(2j * np.pi * (np.outer(offsets, offsets) % window) / window)
+    # a stable sort of the negated detections puts each pair's detected
+    # bins first, strongest first, ties to the lower bin; no pair fits more
+    # than the largest cap of them.  Negated in place and dropped after
+    # ranking, the detections leave their memory to the fit stacks below.
+    found = detected[cands]
+    del detected
+    np.negative(found, out=found)
+    caps = np.maximum(1, counts // 2 - 1)
+    taken = np.minimum(np.count_nonzero(found, axis=-1), caps)  # 0 in empty windows
+    ranked = np.argsort(found, axis=-1, kind="stable")[..., :caps.max()].copy()
+    del found
+
+    # +inf: no bins or rank-deficient; the last row, never fitted, gives
+    # every window a first minimum even without candidates
+    ratios = np.full((cands.size + 1, n_win), np.inf)
+    amps = np.zeros((cands.size, n_win, caps.max()), dtype=np.complex128)
+    for n in sorted(set(counts.tolist()) - {0}):
+        wins = np.flatnonzero(counts == n)
+        samples = first[wins, None] + np.arange(n)
+        rows = table[meas.positions[samples] - starts[wins, None]]
+        n_bins = taken[:, wins]
+        for k in sorted(set(n_bins.ravel().tolist()) - {0}):
+            cand, win = np.nonzero(n_bins == k)
+            step = max(1, FIT_STACK_CELLS // (n * k))
+            for s in range(0, cand.size, step):
+                c, w = cand[s:s + step], win[s:s + step]
+                solvable, fitted, ratio = _candidate_fits(
+                    weighted[samples[w], cands[c, None]], rows, w, ranked[c, wins[w], :k])
+                c, b = c[solvable], wins[w[solvable]]
+                ratios[c, b] = ratio
+                amps[c, b, :k] = fitted
+    # a later candidate wins only with a strictly smaller ratio, so the
+    # winner is the first minimum; no ratio is NaN, since MeasurementSet
+    # bounds its values, _residual_ratio bounds its scale from below and a
+    # pair fits only a window with a detection
+    best = np.argmin(ratios, axis=0)
 
     assignments = []
     unassigned = []
     reconstructed = np.zeros(length, dtype=np.complex128)
-    for b in range(length // window):
-        start = meas.index_origin + b * window
-        sel = np.flatnonzero(owner == b)
-        cap = max(1, sel.size // 2 - 1)
-        found = detected[cands, b]
-        # each candidate's detected bins come first, strongest first, ties
-        # to the lower bin
-        ranked = np.argsort(-found, axis=1, kind="stable")
-        taken = np.minimum(np.count_nonzero(found, axis=1), cap)
-        demodulated = weighted[sel][:, cands].T
-        rows = table[meas.positions[sel] - start]
-        ratios = np.full(cands.size, np.inf)  # +inf: no bins or rank-deficient
-        amps = np.zeros((cands.size, cap), dtype=np.complex128)
-        for k in range(1, cap + 1):
-            group = np.flatnonzero(taken == k)
-            if group.size:
-                solvable, fitted, ratio = _candidate_fits(
-                    demodulated[group], rows, ranked[group, :k])
-                ratios[group[solvable]] = ratio
-                amps[group[solvable], :k] = fitted
-        solved = np.flatnonzero(ratios != np.inf)
-        if not solved.size:
+    for b, j in enumerate(best.tolist()):
+        start = int(starts[b])
+        if ratios[j, b] == np.inf:
             assignments.append(WindowAssignment(b, start, None, None, (), (), None))
             unassigned.append(b)
             continue
-        # a later candidate wins only with a strictly smaller ratio, so the
-        # winner is the first minimum, and a NaN first fit is never displaced
-        j = solved[0] if np.isnan(ratios[solved[0]]) else int(np.nanargmin(ratios))
-        g, k = int(cands[j]), int(taken[j])
-        chosen, fitted = ranked[j, :k], amps[j, :k]
+        g, k = int(cands[j]), int(taken[j, b])
+        chosen, fitted = ranked[j, b, :k], amps[j, b, :k]
         params = grid.params(g)
         assignments.append(WindowAssignment(b, start, g, params, tuple(chosen.tolist()),
                                             tuple(complex(a) for a in fitted),
-                                            float(ratios[j])))
+                                            float(ratios[j, b])))
         inv = np.conj(kernel_values_at(params, start + offsets, length))
         reconstructed[b * window:(b + 1) * window] = inv * (table[:, chosen] @ fitted)
     return LpftRecoveryResult(tuple(assignments), reconstructed, tuple(unassigned), swept)

@@ -48,6 +48,8 @@ PAIR_POOL = 40
 PRUNE_RATIO = 1e-8
 # Measurement residual (relative energy) at which the pursuit stops.
 RESIDUAL_TOL = 1e-24
+# Least scale by which a residual ratio divides: the smallest normal double.
+MIN_SCALE = float(np.finfo(np.float64).tiny)
 # Measurement residual (relative energy) above which a fit is flagged as a
 # possible off-grid component.
 OFFGRID_RESIDUAL = 1e-6
@@ -422,10 +424,13 @@ def _residual_ratio(left, y):
     """``|left|^2 / |y|^2`` along the last axis, with both first divided by
     ``max|y|`` along it: a scalar for vectors, an array for stacks.
 
-    Scaling ``y`` and ``left`` by a power of two then leaves the ratio bit
-    for bit unchanged, even where the residual energy is subnormal.
+    Scaling ``y`` and ``left`` by a power of two that keeps ``max|y|``
+    normal then leaves the ratio bit for bit unchanged, even where the
+    residual energy is subnormal.  A subnormal ``max|y|`` is raised to
+    ``MIN_SCALE``, the smallest normal double: the reciprocal of a
+    subnormal can overflow, and dividing by a power of two is exact.
     """
-    scale = np.max(np.abs(y), axis=-1, keepdims=True)
+    scale = np.maximum(np.max(np.abs(y), axis=-1, keepdims=True), MIN_SCALE)
     return _energy(left / scale) / _energy(y / scale)
 
 

@@ -173,6 +173,16 @@ class TestComponentsCsv:
         header = path.read_text().splitlines()[0]
         assert header == "freq_bin,coeff_p2,coeff_p3,raw_magnitude,amplitude_re,amplitude_im"
 
+    def test_mixed_coefficient_counts_write_missing_as_zero(self, tmp_path):
+        comps = [DetectedComponent(KernelParams((1.0,)), 3, 5.0, 1.0 + 0j),
+                 DetectedComponent(KernelParams((1.0, 2.0)), 7, 6.0, 0.5 - 1j)]
+        path = tmp_path / "components.csv"
+        csvio.write_components_csv(path, comps)
+        assert path.read_text().splitlines()[1] == "3,1.0,0.0,5.0,1.0,0.0"
+        back = csvio.read_components_csv(path)
+        assert back == [DetectedComponent(KernelParams((1.0, 0.0)), 3, 5.0, 1.0 + 0j),
+                        comps[1]]
+
 
 class TestSpectrogramCsv:
     def test_round_trip(self, tmp_path, sample_measurements):

@@ -1,5 +1,7 @@
 """Windowed transform tests: degeneration, masking, piecewise recovery."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from pftcs import (
     pft,
     synthesize_components,
 )
+from pftcs.config import parse_config
+from pftcs.experiments import _measure, synthesize_config_signal
 from pftcs.lpft import _candidate_fits, _sweep
 from pftcs.recovery import (
     RankDeficiencyError,
@@ -280,8 +284,8 @@ class TestWindowFitBlockStructure:
             pos = meas.positions[sel]
             demodulated = meas.values[sel] * kernel_values_at(params, pos, 128)
             solvable, amps, _ = _candidate_fits(demodulated[None, :],
-                                                fourier_rows(pos - b * window, window),
-                                                np.array([bins_per_window]))
+                                                fourier_rows(pos - b * window, window)[None],
+                                                np.array([0]), np.array([bins_per_window]))
             assert solvable.tolist() == [True]
             joint_amps.append(amps[0])
 
@@ -311,8 +315,9 @@ class TestWindowFitBlockStructure:
             (np.ones(4, dtype=np.complex128), np.array([0, 2, 3, 5]), [3, 3]),
         ]
         for values, offsets, bins in cases:
-            solvable, amps, ratios = _candidate_fits(values[None, :], fourier_rows(offsets, 8),
-                                                     np.array([bins]))
+            solvable, amps, ratios = _candidate_fits(values[None, :],
+                                                     fourier_rows(offsets, 8)[None],
+                                                     np.array([0]), np.array([bins]))
             assert solvable.tolist() == [False]
             assert amps.shape == (0, 2) and ratios.shape == (0,)
 
@@ -337,6 +342,32 @@ def window_recover_cases(draw):
     rates = draw(st.lists(st.sampled_from([0.0, 4.0, 8.0, 12.5, 16.0]), min_size=1,
                           max_size=4, unique=True))
     policy = draw(st.sampled_from([ThresholdPolicy.relative(0.5),
+                                   ThresholdPolicy.statistic(0.9)]))
+    return meas, window, ParameterGrid.single(2, sorted(rates)), policy
+
+
+@st.composite
+def many_window_cases(draw):
+    """Up to 16 windows of up to 32 samples and up to 8 rates, with one
+    empty window and at least two distinct nonzero window sample counts."""
+    window = draw(st.integers(4, 32))
+    n_win = draw(st.integers(3, 16))
+    length = window * n_win
+    origin = draw(st.sampled_from([0, -(length // 2)]))
+    counts = draw(st.lists(st.integers(0, window), min_size=n_win, max_size=n_win))
+    empty, one, other = draw(st.permutations(range(n_win)))[:3]
+    counts[empty] = 0
+    counts[one] = draw(st.integers(1, window))
+    counts[other] = draw(st.integers(1, window).filter(lambda c: c != counts[one]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    positions = np.concatenate([b * window + np.sort(rng.choice(window, c, replace=False))
+                                for b, c in enumerate(counts)]) + origin
+    values = rng.normal(size=positions.size) + 1j * rng.normal(size=positions.size)
+    meas = MeasurementSet(positions, values, length, origin)
+    rates = draw(st.lists(st.sampled_from([-24.0, -8.0, 0.0, 4.0, 8.0, 12.5, 16.0, 32.0]),
+                          min_size=1, max_size=8, unique=True))
+    policy = draw(st.sampled_from([ThresholdPolicy.relative(0.2),
+                                   ThresholdPolicy.relative(0.5),
                                    ThresholdPolicy.statistic(0.9)]))
     return meas, window, ParameterGrid.single(2, sorted(rates)), policy
 
@@ -426,6 +457,37 @@ class TestStackedWindowFits:
         meas, window, grid, policy = case
         assert_matches_per_candidate_fits(meas, grid, window, policy)
 
+    @settings(max_examples=100, deadline=None)
+    @given(many_window_cases())
+    def test_equal_per_candidate_loop_across_many_windows(self, case):
+        meas, window, grid, policy = case
+        assert_matches_per_candidate_fits(meas, grid, window, policy)
+
+    def test_ex3_equals_per_candidate_loop(self):
+        config = parse_config(resources.files("pftcs").joinpath("configs", "ex3.cfg"))
+        meas = _measure(config, synthesize_config_signal(config))
+        result = assert_matches_per_candidate_fits(meas, config.grid, config.window,
+                                                   config.policy)
+        assert result.n_windows == 32
+        assert np.count_nonzero(result.sweep.scores > 0) == 41
+
+    def test_pairs_of_different_windows_in_one_stack(self):
+        # one stack may hold pairs of several windows with the same sample
+        # count; each pair fits its own window's rows, as if fitted alone
+        rng = np.random.default_rng(9)
+        rows = np.stack([fourier_rows(np.array([0, 3, 5, 6]), 8),
+                         fourier_rows(np.array([1, 2, 4, 7]), 8)])
+        win = np.array([1, 0, 1, 0, 0])
+        chosen = np.array([[0, 2], [1, 3], [5, 1], [2, 6], [7, 0]])
+        demodulated = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        solvable, amps, ratios = _candidate_fits(demodulated, rows, win, chosen)
+        assert solvable.all()
+        for p in range(5):
+            alone = _candidate_fits(demodulated[p:p + 1], rows[win[p]][None], np.array([0]),
+                                    chosen[p:p + 1])
+            assert np.array_equal(alone[1][0], amps[p])
+            assert alone[2][0] == ratios[p]
+
     def test_window_without_candidates_is_unassigned(self):
         grid = ParameterGrid.single(2, (0.0, 8.0))
         policy = ThresholdPolicy.relative(0.5)
@@ -446,7 +508,8 @@ class TestStackedWindowFits:
         chosen = np.array([[0, 2], [0, 1], [1, 3], [3, 2]])
         rng = np.random.default_rng(5)
         demodulated = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        solvable, amps, ratios = _candidate_fits(demodulated, rows, chosen)
+        solvable, amps, ratios = _candidate_fits(demodulated, rows[None], np.zeros(4, int),
+                                                 chosen)
         assert solvable.tolist() == [False, True, False, True]
         for c, fitted, ratio in zip(np.flatnonzero(solvable), amps, ratios):
             atoms = rows[:, chosen[c]]

@@ -40,6 +40,7 @@ from pftcs.recovery import (
     _kernel_coeffs,
     _kernel_matrix,
     _ranked_hits,
+    _residual_ratio,
     _scatter_spectra,
     _sweep_records,
 )
@@ -904,6 +905,57 @@ class TestLargestMeasurements:
         fitted = [a for a in result.assignments if a.grid_index is not None]
         assert fitted
         for a in fitted:
+            assert np.isfinite(a.residual_ratio)
+            assert np.all(np.isfinite(a.amplitudes))
+
+
+
+class TestSubnormalMeasurements:
+    """Measurements whose largest modulus is subnormal run through both
+    recovery paths without overflow: a residual ratio divides by at least
+    the smallest normal double, a power of two, so the division is exact."""
+
+    GRID = ParameterGrid.single(2, (-16.0, 0.0, 16.0))
+    POSITIONS = np.arange(0, 64, 4)
+
+    def unit(self, seed):
+        rng = np.random.default_rng(seed)
+        return np.exp(2j * np.pi * rng.random(16))
+
+    def test_ratio_is_unchanged_in_the_normal_range(self):
+        rng = np.random.default_rng(3)
+        y = rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))
+        y[1] *= np.finfo(np.float64).tiny
+        left = 1e-3 * (rng.normal(size=(4, 9)) + 1j * rng.normal(size=(4, 9))) * np.abs(y)
+        scale = np.max(np.abs(y), axis=-1, keepdims=True)
+        literal = np.sum(np.abs(left / scale) ** 2, axis=-1) / np.sum(np.abs(y / scale) ** 2,
+                                                                      axis=-1)
+        assert np.array_equal(_residual_ratio(left, y), literal)
+
+    def test_subnormal_ratio_matches_the_scaled_up_one(self):
+        # 2^-1040 makes every value subnormal; scaling back up is exact
+        y = self.unit(4) * 2.0 ** -520 * 2.0 ** -520
+        left = y * np.linspace(0.0, 0.5, 16)
+        ratio = _residual_ratio(left, y)
+        scaled = _residual_ratio(left * 2.0 ** 520 * 2.0 ** 520, y * 2.0 ** 520 * 2.0 ** 520)
+        assert ratio == pytest.approx(scaled, rel=1e-9)
+
+    @pytest.mark.parametrize("pursuit", ["threshold", "exact"])
+    def test_recover(self, pursuit):
+        # 16 values of modulus 1e-310 at M = 64
+        meas = MeasurementSet(self.POSITIONS, 1e-310 * self.unit(0), 64)
+        result = recover(meas, self.GRID, ThresholdPolicy.relative(0.5),
+                         RecoverConfig(pursuit=pursuit))
+        assert result.components
+        assert np.isfinite(result.measurement_residual_ratio)
+
+    def test_lpft_recover_with_one_subnormal_window(self):
+        # window 1 of 4 holds values of modulus 1e-310, the others of 1
+        scales = np.repeat([1.0, 1e-310, 1.0, 1.0], 4)
+        meas = MeasurementSet(self.POSITIONS, scales * self.unit(1), 64)
+        result = lpft_recover(meas, self.GRID, 16, ThresholdPolicy.relative(0.5))
+        assert result.unassigned_windows == ()
+        for a in result.assignments:
             assert np.isfinite(a.residual_ratio)
             assert np.all(np.isfinite(a.amplitudes))
 
