@@ -25,7 +25,6 @@ from .model import (
 )
 from .recovery import (
     ParameterGrid,
-    RankDeficiencyError,
     RecoverConfig,
     ThresholdPolicy,
     recover,
@@ -103,8 +102,9 @@ class SnrReport:
     ``snr_out_measured_db`` is the ensemble energy ratio over successful
     trials (total signal energy over total error energy), which estimates
     the mean error power without the upward bias a mean of per-trial dB
-    values picks up.  Trials whose detected support differs from the true
-    one are counted in ``failures`` and excluded from the average.
+    values picks up.  ``failures`` counts the trials whose detected support
+    differs from the true one, which are excluded from the average; that is
+    the only way a trial fails.
     """
 
     snr_in_db: float
@@ -147,11 +147,7 @@ def snr_experiment(signal: MultiComponentSignal, snr_in_db: float,
         noisy, _ = apply_noise(clean, spec, rng=rng)
         meas = MeasurementSet.from_samples(noisy, positions, signal.length,
                                            signal.index_origin)
-        try:
-            result = recover(meas, grid, policy, config)
-        except RankDeficiencyError:
-            failures += 1
-            continue
+        result = recover(meas, grid, policy, config)
         detected = frozenset(
             (c.freq_bin % signal.length, c.params.higher_coeffs)
             for c in result.components
@@ -225,8 +221,9 @@ def phase_transition(k_values, n_values, trials: int, seed: int,
     measures ``N`` noiseless samples, and recovers with exact pursuit capped
     at ``N // 2`` components; exact pursuit does not depend on the threshold
     policy.  Success means the reconstruction's relative error energy is
-    below ``SUCCESS_TOL``; rank-deficient fits count as failures.  Trial
-    streams are seeded by ``(seed, K, N, trial)``.  ``K`` may not exceed the
+    below ``SUCCESS_TOL``; any other trial, a wrong support or a missed
+    recovery, is a failure.  Trial streams are seeded by
+    ``(seed, K, N, trial)``.  ``K`` may not exceed the
     ``length * len(rate_values)`` distinct pairs.
     """
     if trials < 1:
@@ -260,10 +257,7 @@ def phase_transition(k_values, n_values, trials: int, seed: int,
                 clean = synthesize(signal)
                 positions = select_measurements(length, n, 0, rng)
                 meas = MeasurementSet.from_samples(clean, positions, length)
-                try:
-                    result = recover(meas, grid, policy, config)
-                except RankDeficiencyError:
-                    continue
+                result = recover(meas, grid, policy, config)
                 if relative_error(clean, result.reconstructed) < SUCCESS_TOL:
                     wins += 1
             success[i, j] = wins / trials

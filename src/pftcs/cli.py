@@ -29,7 +29,7 @@ from .experiments import (
 )
 from .lpft import lpft_sweep
 from .model import apply_noise
-from .recovery import RankDeficiencyError, sweep
+from .recovery import sweep
 
 EXAMPLES = ("ex1", "ex2", "ex3", "ex4", "ex5")
 
@@ -153,7 +153,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, RankDeficiencyError, np.linalg.LinAlgError) as exc:
+    except (ValueError, np.linalg.LinAlgError) as exc:
         print(f"computation error: {exc}", file=sys.stderr)
         return 3
 

@@ -150,7 +150,8 @@ def _component_from(section: _Section) -> PolyPhaseComponent:
     if cycles > MAX_PHASE_CYCLES:
         raise ConfigError(f"[{section.name}] coeffs: sum of |c_p| {cycles!r} exceeds "
                           f"{MAX_PHASE_CYCLES} cycles, too large to keep a fractional phase")
-    # the fits divide by max|measurement|, which overflows when it is subnormal
+    # a residual ratio's scale is raised to the smallest normal double, so
+    # nothing overflows below it, but a fit keeps no significant bits there
     magnitude = abs(component.amplitude)
     if magnitude < sys.float_info.min:
         raise ConfigError(f"[{section.name}] amplitude: magnitude {magnitude!r} is below "
@@ -194,11 +195,17 @@ def _parse_origin(section: _Section, length: int) -> int:
     if raw == "centered":
         return -(length // 2)
     try:
-        return int(raw)
+        origin = int(raw)
     except ValueError:
         raise ConfigError(
             f"[{section.name}] origin: expected 'zero', 'centered', or an integer, got {raw!r}"
         ) from None
+    # MAX_PHASE_CYCLES bounds every phase only while each index m of
+    # [origin, origin + length) has |m/M| <= 1
+    if not -length <= origin <= 0:
+        raise ConfigError(f"[{section.name}] origin: {origin} is outside [-{length}, 0], "
+                          "where every index m keeps |m/M| <= 1")
+    return origin
 
 
 def _parse_grid(section: _Section) -> ParameterGrid:

@@ -14,6 +14,7 @@ call.  Grid positions are 1-based in files; in-memory indices stay 0-based.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import csv
 import itertools
@@ -46,6 +47,11 @@ def _floats(values):
 
 
 def _magnitude(value: complex) -> float:
+    # Python's abs() of a value with a NaN part and no infinite one returns
+    # nan without clearing errno, so a stale overflow from an earlier value
+    # would raise there
+    if cmath.isnan(value) and not cmath.isinf(value):
+        return math.nan
     # Python raises where the modulus of a finite value overflows
     try:
         return abs(value)

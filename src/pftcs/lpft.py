@@ -25,9 +25,8 @@ from .recovery import (
     ParameterGrid,
     SweepResult,
     ThresholdPolicy,
+    _fits,
     _kernel_matrix,
-    _normal_equations,
-    _residual_ratio,
     _scatter_spectra,
     _sweep_records,
 )
@@ -189,29 +188,6 @@ class LpftRecoveryResult:
 FIT_STACK_CELLS = 2**13
 
 
-def _candidate_fits(demodulated, rows, win, chosen):
-    """Least-squares local Fourier fits of a stack of (candidate, window) pairs.
-
-    All windows of the stack hold ``N_b`` samples.  ``rows[w]`` holds the
-    (N_b, W) Fourier-table rows of the offsets of window ``w``'s samples
-    into the window; pair ``p`` fits window ``win[p]``.  Row ``p`` of the
-    (P, N_b) ``demodulated`` holds that window's samples demodulated by the
-    pair's candidate kernel, and row ``p`` of the (P, k) ``chosen`` holds
-    the pair's bins.  The kernel has unit modulus, so each fit is that of
-    the raw samples to the atoms ``conj(phi) * exp(2j pi k (m - start)/W)``.
-    Returns the mask of pairs that pass the rank rule and, for those, their
-    (P', k) amplitudes and relative residual energies.
-    """
-    # column-major (N_b, k) atoms, the layout of ``rows[w][:, bins]``, so
-    # that each stacked product rounds as the same product of one pair does
-    atoms = rows[win[:, None], :, chosen].swapaxes(1, 2)
-    gram, rhs, _, solvable = _normal_equations(atoms, demodulated)
-    atoms, demodulated = atoms[solvable], demodulated[solvable]
-    amps = np.linalg.solve(gram[solvable], rhs[solvable])[..., 0]
-    left = demodulated - (atoms @ amps[..., None])[..., 0]
-    return solvable, amps, _residual_ratio(left, demodulated)
-
-
 def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
                  policy: ThresholdPolicy) -> LpftRecoveryResult:
     """Window-by-window recovery of a piecewise polynomial-phase signal.
@@ -224,11 +200,14 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
     amplitudes are fitted by least squares, and the candidate with the
     smallest computed relative residual is assigned.  The (candidate,
     window) pairs are fitted as one stack per (window sample count, bin
-    count) across all windows, split only to bound memory, with the rank
-    rule of every amplitude solve; a rank-deficient pair is skipped.  A
-    later candidate displaces the best only with a strictly smaller ratio,
-    so candidates that tie in exact arithmetic are decided by the rounding
-    of their ratios, in either direction.  Windows with no measurements or
+    count) across all windows, split only to bound memory, by
+    :func:`pftcs.recovery._fits`; a pair that fails its rank rule is
+    skipped.  A pair fits its demodulated samples to the Fourier atoms of
+    its bins, which the unit-modulus kernel makes the fit of the raw
+    samples to ``conj(phi) * exp(2j pi k (m - start)/W)``.  A later
+    candidate displaces the best only with a strictly smaller ratio, so
+    candidates that tie in exact arithmetic are decided by the rounding of
+    their ratios, in either direction.  Windows with no measurements or
     no fitting candidate reconstruct as zeros and are listed in
     ``unassigned_windows``.  The result carries the :func:`lpft_sweep`
     result in ``sweep``; compare ``reconstructed`` with a reference by
@@ -270,15 +249,16 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
             step = max(1, FIT_STACK_CELLS // (n * k))
             for s in range(0, cand.size, step):
                 c, w = cand[s:s + step], win[s:s + step]
-                solvable, fitted, ratio = _candidate_fits(
-                    weighted[samples[w], cands[c, None]], rows, w, ranked[c, wins[w], :k])
-                c, b = c[solvable], wins[w[solvable]]
+                # column-major (n, k) atoms, the layout of ``rows[w][:, bins]``,
+                # so that each stacked product rounds as that of one pair does
+                atoms = rows[w[:, None], :, ranked[c, wins[w], :k]].swapaxes(1, 2)
+                passed, fitted, _, ratio = _fits(atoms, weighted[samples[w], cands[c, None]])
+                c, b = c[passed], wins[w[passed]]
                 ratios[c, b] = ratio
                 amps[c, b, :k] = fitted
     # a later candidate wins only with a strictly smaller ratio, so the
     # winner is the first minimum; no ratio is NaN, since MeasurementSet
-    # bounds its values, _residual_ratio bounds its scale from below and a
-    # pair fits only a window with a detection
+    # bounds its values and _residual_ratio bounds its scales from below
     best = np.argmin(ratios, axis=0)
 
     assignments = []

@@ -357,32 +357,29 @@ def _sweep_records(grid: ParameterGrid, mags: np.ndarray, thresholds) -> SweepRe
     return SweepResult(grid, scores, np.where(scores > 0, peaks, -1))
 
 
-def _normal_equations(atoms: np.ndarray, values: np.ndarray):
-    """Normal equations of ``values ~ atoms @ x`` for one (N, K) system or a
-    (C, N, K) stack, and the rank rule of every amplitude solve.
+def _fits(atoms: np.ndarray, values: np.ndarray):
+    """Least-squares fits ``values[c] ~ atoms[c] @ x`` of a (C, N, K) stack,
+    by the normal equations, under the rank rule of every amplitude fit.
 
-    Returns the Gram matrices, the right-hand sides as (..., K, 1) columns,
-    the condition numbers and whether each system passes: its Gram matrix
-    has a finite condition number of at most ``COND_LIMIT``.
+    A system fails the rule when it has fewer measurements than atoms
+    (N < K), or when its Gram matrix has a condition number that is not
+    finite or exceeds ``COND_LIMIT``.  Returns the (C,) mask of systems that
+    pass and, for those C' systems, their (C', K) amplitudes, (C', N)
+    residuals and (C',) relative residual energies.
     """
+    n, k = atoms.shape[-2:]
     adjoint = atoms.conj().swapaxes(-1, -2)
-    gram = adjoint @ atoms
-    cond = np.linalg.cond(gram)
-    return gram, adjoint @ values[..., None], cond, np.isfinite(cond) & (cond <= COND_LIMIT)
-
-
-def _solve_amplitudes(atoms: np.ndarray, values: np.ndarray) -> np.ndarray:
-    n, k = atoms.shape
+    gram, rhs = adjoint @ atoms, adjoint @ values[..., None]
     if n < k:
-        raise RankDeficiencyError(
-            f"{k} components from {n} measurements: system is underdetermined"
-        )
-    gram, rhs, cond, solvable = _normal_equations(atoms, values)
-    if not solvable:
-        raise RankDeficiencyError(
-            f"amplitude system condition number {cond:.3e} exceeds {COND_LIMIT:.0e}"
-        )
-    return np.linalg.solve(gram, rhs)[:, 0]
+        passed = np.zeros(len(atoms), dtype=bool)
+    else:
+        cond = np.linalg.cond(gram)
+        passed = np.isfinite(cond) & (cond <= COND_LIMIT)
+    if not passed.all():  # the masked copies cost more than a small fit
+        atoms, values, gram, rhs = atoms[passed], values[passed], gram[passed], rhs[passed]
+    amps = np.linalg.solve(gram, rhs)[..., 0]
+    left = values - (atoms @ amps[..., None])[..., 0]
+    return passed, amps, left, _residual_ratio(left, values)
 
 
 def amplitude_correction(meas: MeasurementSet, detected) -> np.ndarray:
@@ -390,8 +387,9 @@ def amplitude_correction(meas: MeasurementSet, detected) -> np.ndarray:
 
     Solves the normal equations of ``y = A x`` where column ``i`` samples
     component ``i``'s unit-amplitude phase polynomial at the measurement
-    positions.  Raises :class:`RankDeficiencyError` when there are fewer
-    measurements than components or the system is ill-conditioned.
+    positions.  Raises :class:`RankDeficiencyError` when the system fails
+    the rank rule of :func:`_fits`: fewer measurements than components, or
+    an ill-conditioned Gram matrix.
     """
     detected = list(detected)
     if not detected:
@@ -399,7 +397,12 @@ def amplitude_correction(meas: MeasurementSet, detected) -> np.ndarray:
     kernels = np.stack([kernel_values_at(c.params, meas.positions, meas.signal_length)
                         for c in detected], axis=1)
     atoms = _atoms(meas, kernels, [c.freq_bin for c in detected])
-    return _solve_amplitudes(atoms, meas.values)
+    passed, amps, _, _ = _fits(atoms[None], meas.values[None])
+    if not passed[0]:
+        raise RankDeficiencyError(
+            f"{len(detected)} components from {meas.count} measurements: fewer "
+            f"measurements than components, or a condition number above {COND_LIMIT:.0e}")
+    return amps[0]
 
 
 def reconstruct(components, length, index_origin=0) -> np.ndarray:
@@ -421,17 +424,19 @@ def _energy(x):
 
 
 def _residual_ratio(left, y):
-    """``|left|^2 / |y|^2`` along the last axis, with both first divided by
-    ``max|y|`` along it: a scalar for vectors, an array for stacks.
+    """``|left|^2 / |y|^2`` of every row of (C, N) stacks, with both rows
+    first divided by the row's ``max|y|``: a (C,) array.
 
     Scaling ``y`` and ``left`` by a power of two that keeps ``max|y|``
     normal then leaves the ratio bit for bit unchanged, even where the
     residual energy is subnormal.  A subnormal ``max|y|`` is raised to
     ``MIN_SCALE``, the smallest normal double: the reciprocal of a
-    subnormal can overflow, and dividing by a power of two is exact.
+    subnormal can overflow, and dividing by a power of two is exact.  A
+    nonzero row then has a scaled energy of at least 2^-104, so raising
+    the energies to ``MIN_SCALE`` changes only a zero row, whose ratio is 0.
     """
     scale = np.maximum(np.max(np.abs(y), axis=-1, keepdims=True), MIN_SCALE)
-    return _energy(left / scale) / _energy(y / scale)
+    return _energy(left / scale) / np.maximum(_energy(y / scale), MIN_SCALE)
 
 
 def _best_pair(meas: MeasurementSet, kernels: np.ndarray, mags: np.ndarray):
@@ -484,20 +489,22 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     when the residual vanishes, the support is full, or a round admits
     nothing.  Each admission is the argmax of the round's open cells: the
     untried cells at or above the policy threshold, with ties going to the
-    lower grid point, then the lower bin.  A candidate that makes the fit
-    rank-deficient is skipped, and the next argmax is taken.  Threshold mode
-    admits open cells until none is left.  Exact mode is orthogonal
-    matching pursuit: its threshold is 0 and it admits one cell per round,
-    so noiseless on-grid signals are driven to a numerically zero residual,
-    and a pass that misses is restarted once from the best two-atom fit.
-    The policy then only scores the sweep.  Spurious support entries are
-    pruned by relative amplitude afterwards.
+    lower grid point, then the lower bin.  A candidate whose fit fails the
+    rank rule of :func:`_fits` is skipped, and the next argmax is taken;
+    this keeps near-duplicate atoms, which are strongly correlated over few
+    measurements, out of the support.  Threshold mode admits open cells
+    until none is left.  Exact mode is orthogonal matching pursuit: its
+    threshold is 0 and it admits one cell per round, so noiseless on-grid
+    signals are driven to a numerically zero residual, and a pass that
+    misses is restarted once from the best two-atom fit.  The policy then
+    only scores the sweep.  Spurious support entries are pruned by relative
+    amplitude afterwards.
 
-    An empty detection yields an empty result, not an error; rank problems
-    in the amplitude solve propagate as :class:`RankDeficiencyError`.  The
-    result carries the :func:`sweep` of the measurements in ``sweep``;
-    compare ``reconstructed`` with a reference by
-    :func:`pftcs.analysis.relative_error`.
+    An empty detection yields an empty result, not an error, and since
+    failing candidates are skipped, no fit raises
+    :class:`RankDeficiencyError`.  The result carries the :func:`sweep` of
+    the measurements in ``sweep``; compare ``reconstructed`` with a
+    reference by :func:`pftcs.analysis.relative_error`.
     """
     cfg = config or RecoverConfig()
     exact = cfg.pursuit == "exact"
@@ -512,25 +519,11 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     swept = _sweep_records(grid, first, first_thresholds)
 
     def refit(entries):
+        """``(entries, amps, residual, ratio)`` of the joint fit of ``y`` to
+        the atoms of ``entries``, or None when it fails the rank rule."""
         cols, bins, _ = zip(*entries)
-        atoms = _atoms(meas, kernels[:, cols], bins)
-        fitted = _solve_amplitudes(atoms, y)
-        left = y - atoms @ fitted
-        ratio = _residual_ratio(left, y) if nonzero else 0.0
-        return fitted, left, ratio
-
-    def try_extend(entries, candidate):
-        """Fit with one more atom; None if that makes the system degenerate.
-
-        Skipping (rather than failing on) a candidate that is numerically
-        dependent on the current atoms keeps near-duplicate bins, which are
-        strongly correlated over few measurements, out of the support.
-        """
-        trial = entries + [candidate]
-        try:
-            return (trial,) + refit(trial)
-        except RankDeficiencyError:
-            return None
+        passed, amps, left, ratio = _fits(_atoms(meas, kernels[:, cols], bins)[None], y[None])
+        return (entries, amps[0], left[0], ratio[0]) if passed[0] else None
 
     def pursue(seed=()):
         """One growth-only pass; returns (support, amps, residual, ratio).
@@ -547,7 +540,7 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
 
         for pi, b, mag in seed:
             tried[pi, b] = True
-            extended = try_extend(support, (pi, b, mag))
+            extended = refit(support + [(pi, b, mag)])
             if extended is not None:
                 support, amps, residual, residual_ratio = extended
 
@@ -567,7 +560,7 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
                     break
                 open_cells[pi, b] = 0.0
                 tried[pi, b] = True
-                extended = try_extend(support, (pi, b, float(mags[pi, b])))
+                extended = refit(support + [(pi, b, float(mags[pi, b]))])
                 if extended is not None:
                     support, amps, residual, residual_ratio = extended
                     admitted += 1
@@ -587,11 +580,16 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
 
     if support:
         scale = float(np.max(np.abs(amps)))
-        keep = [i for i in range(len(support)) if abs(amps[i]) > PRUNE_RATIO * scale]
-        if len(keep) < len(support):
-            support = [support[i] for i in keep]
-            if support:
-                amps, _, residual_ratio = refit(support)
+        kept = [entry for entry, amp in zip(support, amps) if abs(amp) > PRUNE_RATIO * scale]
+        if not kept:  # every amplitude is 0
+            support = []
+        elif len(kept) < len(support):
+            # a principal sub-Gram is no worse conditioned than the Gram in
+            # exact arithmetic, so only rounding at the COND_LIMIT edge can
+            # reject this refit; the unpruned fit then stands
+            pruned = refit(kept)
+            if pruned is not None:
+                support, amps, _, residual_ratio = pruned
 
     # an empty support keeps the ratio 1 (0 for zero data) and reconstructs zeros
     order = sorted(range(len(support)),

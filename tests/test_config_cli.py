@@ -115,6 +115,13 @@ rates = 0 16
 PER_WINDOW_RECOVER = TINY_RECOVER.replace(
     "count = 24", "count = 4\nper_window = true") + "\n[lpft]\nwindow = 16\n"
 
+def with_origin(text, origin):
+    """``text`` with its ``[signal] origin`` set to ``origin``."""
+    if "origin = zero" in text:
+        return text.replace("origin = zero", f"origin = {origin}")
+    return text.replace("length = 64\n", f"length = 64\norigin = {origin}\n")
+
+
 TINY = {"recover": TINY_RECOVER, "lpft": TINY_LPFT, "snr": TINY_SNR, "pt": TINY_PT,
         "per_window": PER_WINDOW_RECOVER}
 
@@ -449,6 +456,18 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match="origin"):
             parse_config_string(text)
 
+    @pytest.mark.parametrize("kind", ["recover", "lpft", "snr"])
+    @pytest.mark.parametrize("origin", ["1", "-65", "1000000000"])
+    def test_origin_outside_phase_bound(self, kind, origin):
+        # the phase bound MAX_PHASE_CYCLES holds for |m/M| <= 1, so every
+        # index m in [origin, origin + length) needs origin in [-length, 0]
+        with pytest.raises(ConfigError, match=r"\[signal\] origin: .* outside \[-64, 0\]"):
+            parse_config_string(with_origin(TINY[kind], origin))
+
+    @pytest.mark.parametrize("origin, expected", [("-64", -64), ("0", 0), ("-1", -1)])
+    def test_origin_at_phase_bound(self, origin, expected):
+        assert parse_config_string(with_origin(TINY_RECOVER, origin)).index_origin == expected
+
     def test_window_must_divide_length(self):
         text = TINY_LPFT.replace("window = 16", "window = 24")
         with pytest.raises(ConfigError, match="divide"):
@@ -680,6 +699,15 @@ class TestCliExitCodes:
         code = cli.main(["snr-table", "--config", cfg, "--out", str(tmp_path / "o")])
         assert code == 2
         assert "[signal] origin" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, kind", [("recover", "recover"), ("lpft", "lpft"),
+                                               ("synth", "recover"), ("sweep", "lpft")])
+    def test_origin_outside_phase_bound_is_2(self, tmp_path, capsys, command, kind):
+        cfg = write_config(tmp_path, with_origin(TINY[kind], "1000000000"))
+        code = cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "[signal] origin" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_sample_of_snr_table_is_2(self, tmp_path, capsys):
         # snr-table draws its masks per trial; it has no measurement set to write

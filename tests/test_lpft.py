@@ -24,13 +24,13 @@ from pftcs import (
 )
 from pftcs.config import parse_config
 from pftcs.experiments import _measure, synthesize_config_signal
-from pftcs.lpft import _candidate_fits, _sweep
+from pftcs.lpft import _sweep
 from pftcs.recovery import (
-    RankDeficiencyError,
+    COND_LIMIT,
+    _fits,
     _ranked_hits,
     _residual_ratio,
     _scatter_spectra,
-    _solve_amplitudes,
 )
 
 
@@ -283,9 +283,8 @@ class TestWindowFitBlockStructure:
             sel = np.flatnonzero(owner == b)
             pos = meas.positions[sel]
             demodulated = meas.values[sel] * kernel_values_at(params, pos, 128)
-            solvable, amps, _ = _candidate_fits(demodulated[None, :],
-                                                fourier_rows(pos - b * window, window)[None],
-                                                np.array([0]), np.array([bins_per_window]))
+            atoms = fourier_rows(pos - b * window, window)[:, bins_per_window]
+            solvable, amps, _, _ = _fits(atoms[None], demodulated[None, :])
             assert solvable.tolist() == [True]
             joint_amps.append(amps[0])
 
@@ -315,9 +314,8 @@ class TestWindowFitBlockStructure:
             (np.ones(4, dtype=np.complex128), np.array([0, 2, 3, 5]), [3, 3]),
         ]
         for values, offsets, bins in cases:
-            solvable, amps, ratios = _candidate_fits(values[None, :],
-                                                     fourier_rows(offsets, 8)[None],
-                                                     np.array([0]), np.array([bins]))
+            solvable, amps, _, ratios = _fits(fourier_rows(offsets, 8)[:, bins][None],
+                                              values[None, :])
             assert solvable.tolist() == [False]
             assert amps.shape == (0, 2) and ratios.shape == (0,)
 
@@ -401,13 +399,25 @@ class TestDemodulatedWindowFit:
                    for b in range(result.n_windows) if not np.any(owner == b))
 
 
+def normal_equation_fit(atoms, values):
+    """One (N, K) least-squares fit by its normal equations, under the rank
+    rule: None when N < K or the Gram matrix's condition number is not
+    finite or exceeds ``COND_LIMIT``, else the (K,) amplitudes."""
+    adjoint = atoms.conj().T
+    gram = adjoint @ atoms
+    cond = np.linalg.cond(gram)
+    if atoms.shape[0] < atoms.shape[1] or not (np.isfinite(cond) and cond <= COND_LIMIT):
+        return None
+    return np.linalg.solve(gram, adjoint @ values[:, None])[:, 0]
+
+
 def per_candidate_fits(meas, grid, window, policy):
     """The per-candidate reference for :func:`lpft_recover`'s stacked fits.
 
-    Every candidate is fitted alone by ``_solve_amplitudes``, a rank-deficient
-    one is skipped, and a later candidate displaces the best only with a
-    strictly smaller ratio.  Returns ``(grid index, bins, amplitudes,
-    ratio)`` per window, or None where nothing fitted.
+    Every candidate is fitted alone by :func:`normal_equation_fit`, one that
+    fails the rank rule is skipped, and a later candidate displaces the best
+    only with a strictly smaller ratio.  Returns ``(grid index, bins,
+    amplitudes, ratio)`` per window, or None where nothing fitted.
     """
     swept, weighted, detected = _sweep(meas, grid, window, policy)
     cands = np.flatnonzero(swept.scores > 0)
@@ -427,9 +437,8 @@ def per_candidate_fits(meas, grid, window, policy):
                 if not chosen.size:
                     continue
                 atoms = rows[:, chosen]
-                try:
-                    amps = _solve_amplitudes(atoms, weighted[sel, g])
-                except RankDeficiencyError:
+                amps = normal_equation_fit(atoms, weighted[sel, g])
+                if amps is None:
                     continue
                 ratio = _residual_ratio(weighted[sel, g] - atoms @ amps, weighted[sel, g])
                 if best is None or ratio < best[3]:
@@ -480,13 +489,14 @@ class TestStackedWindowFits:
         win = np.array([1, 0, 1, 0, 0])
         chosen = np.array([[0, 2], [1, 3], [5, 1], [2, 6], [7, 0]])
         demodulated = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
-        solvable, amps, ratios = _candidate_fits(demodulated, rows, win, chosen)
+        # lpft_recover's gather: column-major (4, 2) atoms per pair
+        solvable, amps, _, ratios = _fits(rows[win[:, None], :, chosen].swapaxes(1, 2),
+                                          demodulated)
         assert solvable.all()
         for p in range(5):
-            alone = _candidate_fits(demodulated[p:p + 1], rows[win[p]][None], np.array([0]),
-                                    chosen[p:p + 1])
+            alone = _fits(rows[win[p]][:, chosen[p]][None], demodulated[p:p + 1])
             assert np.array_equal(alone[1][0], amps[p])
-            assert alone[2][0] == ratios[p]
+            assert alone[3][0] == ratios[p]
 
     def test_window_without_candidates_is_unassigned(self):
         grid = ParameterGrid.single(2, (0.0, 8.0))
@@ -508,17 +518,15 @@ class TestStackedWindowFits:
         chosen = np.array([[0, 2], [0, 1], [1, 3], [3, 2]])
         rng = np.random.default_rng(5)
         demodulated = rng.normal(size=(4, 2)) + 1j * rng.normal(size=(4, 2))
-        solvable, amps, ratios = _candidate_fits(demodulated, rows[None], np.zeros(4, int),
-                                                 chosen)
+        solvable, amps, _, ratios = _fits(rows[:, chosen].transpose(1, 0, 2), demodulated)
         assert solvable.tolist() == [False, True, False, True]
         for c, fitted, ratio in zip(np.flatnonzero(solvable), amps, ratios):
             atoms = rows[:, chosen[c]]
-            alone = _solve_amplitudes(atoms, demodulated[c])
+            alone = normal_equation_fit(atoms, demodulated[c])
             assert np.array_equal(fitted, alone)
             assert ratio == _residual_ratio(demodulated[c] - atoms @ alone, demodulated[c])
         for c in np.flatnonzero(~solvable):
-            with pytest.raises(RankDeficiencyError, match="condition number"):
-                _solve_amplitudes(rows[:, chosen[c]], demodulated[c])
+            assert normal_equation_fit(rows[:, chosen[c]], demodulated[c]) is None
 
     def test_exact_tie_goes_to_lower_grid_index(self):
         # one sample per window, at offset 0: every candidate fits it through

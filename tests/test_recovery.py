@@ -601,12 +601,9 @@ def scaled_cases(draw):
     return meas, scaled, factor, policy
 
 
-def _recover_or_error(meas, policy, pursuit):
-    try:
-        return recover(meas, ParameterGrid.single(2, SCALE_RATES), policy,
-                       RecoverConfig(pursuit=pursuit))
-    except RankDeficiencyError as exc:
-        return exc
+def _recover_on_scale_rates(meas, policy, pursuit):
+    return recover(meas, ParameterGrid.single(2, SCALE_RATES), policy,
+                   RecoverConfig(pursuit=pursuit))
 
 
 class TestScaleInvariance:
@@ -626,11 +623,8 @@ class TestScaleInvariance:
     @given(scaled_cases(), st.sampled_from(["threshold", "exact"]))
     def test_recover_support_fixed_amplitudes_scale(self, case, pursuit):
         meas, scaled, factor, policy = case
-        base = _recover_or_error(meas, policy, pursuit)
-        other = _recover_or_error(scaled, policy, pursuit)
-        if isinstance(base, RankDeficiencyError):
-            assert isinstance(other, RankDeficiencyError)
-            return
+        base = _recover_on_scale_rates(meas, policy, pursuit)
+        other = _recover_on_scale_rates(scaled, policy, pursuit)
         assert [(c.params, c.freq_bin) for c in other.components] == [
             (c.params, c.freq_bin) for c in base.components
         ]
@@ -649,8 +643,8 @@ class TestScaleInvariance:
                                          PolyPhaseComponent(1e-159, (5.0, -8.0))], 32)
         meas = MeasurementSet.from_samples(samples, select_measurements(32, 22, 0, 0), 32)
         doubled = MeasurementSet(meas.positions, 2.0 * meas.values, 32)
-        base = _recover_or_error(meas, ThresholdPolicy.relative(0.5), "threshold")
-        other = _recover_or_error(doubled, ThresholdPolicy.relative(0.5), "threshold")
+        base = _recover_on_scale_rates(meas, ThresholdPolicy.relative(0.5), "threshold")
+        other = _recover_on_scale_rates(doubled, ThresholdPolicy.relative(0.5), "threshold")
         assert 0.0 < base.measurement_residual_ratio < np.finfo(np.float64).tiny
         assert other.measurement_residual_ratio == base.measurement_residual_ratio
 
@@ -756,12 +750,8 @@ class TestExactPursuitPolicy:
     def test_components_independent_of_policy(self, case):
         meas, config = case
         grid = ParameterGrid.single(2, SCALE_RATES)
-        results = []
-        for policy in (ThresholdPolicy.relative(0.5), ThresholdPolicy.statistic(0.99)):
-            try:
-                results.append(recover(meas, grid, policy, config).components)
-            except RankDeficiencyError as exc:
-                results.append(str(exc))
+        results = [recover(meas, grid, policy, config).components
+                   for policy in (ThresholdPolicy.relative(0.5), ThresholdPolicy.statistic(0.99))]
         assert results[0] == results[1]
 
 
@@ -778,21 +768,22 @@ class TestPursuitRounds:
         samples = synthesize_components(comps, length)
         meas = MeasurementSet.from_samples(samples, select_measurements(length, 24, seed=3),
                                            length)
-        solve, estimate = recovery._solve_amplitudes, recovery._grid_estimates
+        fits, estimate = recovery._fits, recovery._grid_estimates
         calls = 0
 
         def one_atom_only(atoms, values):
-            # every second atom is rank-deficient, so each pass admits one
-            if atoms.shape[1] >= 2:
-                raise RankDeficiencyError("second atom")
-            return solve(atoms, values)
+            # every second atom fails the rank rule, so each pass admits one
+            passed, amps, left, ratios = fits(atoms, values)
+            if atoms.shape[-1] >= 2:
+                return np.zeros_like(passed), amps[:0], left[:0], ratios[:0]
+            return passed, amps, left, ratios
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return estimate(*args)
 
-        monkeypatch.setattr(recovery, "_solve_amplitudes", one_atom_only)
+        monkeypatch.setattr(recovery, "_fits", one_atom_only)
         monkeypatch.setattr(recovery, "_grid_estimates", counted)
         result = recover(meas, ParameterGrid.single(2, (-16.0, 0.0, 16.0)),
                          ThresholdPolicy.relative(0.3), RecoverConfig(pursuit=pursuit))
@@ -832,12 +823,115 @@ class TestPrune:
            st.sampled_from([ThresholdPolicy.relative(0.5), ThresholdPolicy.statistic(0.99)]))
     def test_components_exceed_prune_ratio(self, meas, pursuit, policy):
         config = RecoverConfig(max_components=max(1, meas.count // 2), pursuit=pursuit)
-        try:
-            result = recover(meas, ParameterGrid.single(2, PT_RATES), policy, config)
-        except RankDeficiencyError:
-            return
+        result = recover(meas, ParameterGrid.single(2, PT_RATES), policy, config)
         amps = np.abs([c.corrected_amplitude for c in result.components])
         assert (amps > recovery.PRUNE_RATIO * amps.max(initial=0.0)).all()
+
+
+class TestPruneRefitRejected:
+    def test_unpruned_fit_stands(self, monkeypatch):
+        # a sub-Gram is no worse conditioned in exact arithmetic, but rounding
+        # at the COND_LIMIT edge could reject the prune's refit; the pass's
+        # unpruned fit is then returned, and nothing raises
+        comps = [PolyPhaseComponent(1.0, (24.0, -48.0)), PolyPhaseComponent(1.0, (19.0, -48.0))]
+        meas = MeasurementSet.from_samples(synthesize_components(comps, 32),
+                                           select_measurements(32, 10, 0, 21), 32)
+        args = (meas, ParameterGrid.single(2, PT_RATES), ThresholdPolicy.relative(0.5),
+                RecoverConfig(max_components=5))
+        assert len(recover(*args).components) == 2  # the prune removes atoms here
+        fits = recovery._fits
+        widest = []  # (atom count, ratio) of the widest fit that passed
+
+        def reject_narrower(atoms, values):
+            passed, amps, left, ratios = fits(atoms, values)
+            k = atoms.shape[-1]
+            if widest and k < widest[0][0]:
+                # threshold pursuit only grows its support: this is the prune
+                return np.zeros_like(passed), amps[:0], left[:0], ratios[:0]
+            if passed[0]:
+                widest[:] = [(k, ratios[0])]
+            return passed, amps, left, ratios
+
+        monkeypatch.setattr(recovery, "_fits", reject_narrower)
+        result = recover(*args)
+        assert len(result.components) == widest[0][0] == 4
+        assert result.measurement_residual_ratio == widest[0][1]
+
+
+class TestFits:
+    """``_fits`` holds the one rank rule of every amplitude fit."""
+
+    def random_stack(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def test_stack_of_passing_and_ill_conditioned_systems(self):
+        atoms, values = self.random_stack((3, 6, 2), 4), self.random_stack((3, 6), 5)
+        atoms[1, :, 1] = atoms[1, :, 0] + 1e-8 * atoms[1, :, 1]  # condition number ~1e16
+        atoms[2, :, 1] = atoms[2, :, 0]  # singular
+        passed, amps, left, ratios = recovery._fits(atoms, values)
+        assert passed.tolist() == [True, False, False]
+        assert (amps.shape, left.shape, ratios.shape) == ((1, 2), (1, 6), (1,))
+        oracle, *_ = np.linalg.lstsq(atoms[0], values[0], rcond=None)
+        np.testing.assert_allclose(amps[0], oracle, rtol=1e-12)
+        np.testing.assert_allclose(left[0], values[0] - atoms[0] @ oracle, atol=1e-12)
+        assert ratios[0] == _residual_ratio(left, values[:1])[0]
+        for c in range(3):  # each system alone gets the same verdict and bits
+            alone = recovery._fits(atoms[c:c + 1], values[c:c + 1])
+            assert alone[0].tolist() == [passed[c]]
+            if passed[c]:
+                assert np.array_equal(alone[1][0], amps[0]) and alone[3][0] == ratios[0]
+
+    def test_fewer_measurements_than_atoms_fail(self):
+        atoms, values = self.random_stack((2, 2, 3), 6), self.random_stack((2, 2), 7)
+        passed, amps, left, ratios = recovery._fits(atoms, values)
+        assert passed.tolist() == [False, False]
+        assert (amps.shape, left.shape, ratios.shape) == ((0, 3), (0, 2), (0,))
+
+    def test_zero_data_fits_with_ratio_zero(self):
+        passed, amps, left, ratios = recovery._fits(self.random_stack((1, 4, 2), 8),
+                                                    np.zeros((1, 4), dtype=np.complex128))
+        assert passed.tolist() == [True]
+        assert not amps.any() and not left.any() and ratios.tolist() == [0.0]
+        meas = MeasurementSet(np.arange(4), np.zeros(4, dtype=np.complex128), 8)
+        detected = [DetectedComponent(KernelParams(), b, 1.0) for b in (1, 2)]
+        assert not amplitude_correction(meas, detected).any()
+
+
+@st.composite
+def degenerate_cases(draw):
+    """Few measurements, a support cap above their count, and grids whose
+    near-duplicate rates give nearly collinear atoms."""
+    length = draw(st.sampled_from([16, 32]))
+    count = draw(st.integers(1, 8))
+    positions = select_measurements(length, count, 0, draw(st.integers(0, 2**32 - 1)))
+    base = draw(st.sampled_from(SCALE_RATES))
+    gaps = draw(st.lists(st.sampled_from([1e-12, 1e-9, 1e-6, 1e-3, 1.0]),
+                         min_size=1, max_size=3))
+    rates = sorted({base, *(base + np.cumsum(gaps)).tolist()})
+    if draw(st.booleans()):  # an on-grid chirp
+        comp = PolyPhaseComponent(1.0, (float(draw(st.integers(0, length - 1))), -base))
+        meas = MeasurementSet.from_samples(synthesize_components([comp], length),
+                                           positions, length)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        meas = MeasurementSet(positions, rng.normal(size=count) + 1j * rng.normal(size=count),
+                              length)
+    cap = draw(st.integers(count + 1, 3 * count + 4))
+    return meas, ParameterGrid.single(2, rates), cap
+
+
+class TestRecoverNeverRaises:
+    @settings(max_examples=150, deadline=None)
+    @given(degenerate_cases(), st.sampled_from(["threshold", "exact"]),
+           st.sampled_from([ThresholdPolicy.relative(0.5), ThresholdPolicy.statistic(0.99)]))
+    def test_returns_a_result(self, case, pursuit, policy):
+        meas, grid, cap = case
+        result = recover(meas, grid, policy, RecoverConfig(max_components=cap, pursuit=pursuit))
+        # every admitted fit passed the rank rule, which needs N >= K
+        assert len(result.components) <= meas.count
+        assert np.isfinite(result.measurement_residual_ratio)
+        assert all(np.isfinite(c.corrected_amplitude) for c in result.components)
 
 
 class TestBestPair:
