@@ -20,7 +20,6 @@ from .config import ConfigError, ExperimentConfig, Piece, parse_config, parse_co
 from .experiments import ExperimentOutcome, run_experiment, synthesize_config_signal
 from .lpft import (
     LpftRecoveryResult,
-    LpftSpectrogram,
     WindowAssignment,
     lpft,
     lpft_cs_estimate,
@@ -72,7 +71,6 @@ __all__ = [
     "ExperimentOutcome",
     "KernelParams",
     "LpftRecoveryResult",
-    "LpftSpectrogram",
     "MeasurementSet",
     "MultiComponentSignal",
     "NoiseSpec",

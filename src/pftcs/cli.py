@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
@@ -25,7 +26,6 @@ from .experiments import (
     synthesize_config_signal,
     _measure,
     _top_lines,
-    _with_seed,
 )
 from .lpft import lpft_sweep
 from .model import apply_noise
@@ -87,6 +87,17 @@ def _load(args):
     return parse_config(args.config)
 
 
+def _with_seed(config, seed):
+    """``config`` with every seed (sampling, noise, trials) set to ``seed``.
+
+    ``None`` leaves the config unchanged.
+    """
+    if seed is None:
+        return config
+    return replace(config, seed=seed, snr_seed=seed, pt_seed=seed,
+                   noise=replace(config.noise, seed=seed))
+
+
 def _check_kind(command: str, kind: str):
     allowed = _COMMAND_KINDS.get(command)
     if allowed is not None and kind not in allowed:
@@ -131,15 +142,13 @@ def _run_stage(args, config) -> list:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        config = _load(args)
+        config = _with_seed(_load(args), args.seed)
         _check_kind(args.command, config.kind)
         if args.command in ("synth", "sample", "sweep"):
-            config = _with_seed(config, args.seed)
             for line in _run_stage(args, config):
                 print(line)
             return 0
-        outcome = run_experiment(config, args.out, seed=args.seed,
-                                 plot_script=args.plot_script)
+        outcome = run_experiment(config, args.out, plot_script=args.plot_script)
         title = outcome.kind if not outcome.label else f"{outcome.kind}: {outcome.label}"
         print(title)
         for line in outcome.summary:

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .model import NoiseSpec, PolyPhaseComponent
+from .model import NoiseSpec, PolyPhaseComponent, check_index_origin
 from .recovery import ParameterGrid, RecoverConfig, ThresholdPolicy, _check_estimate_cells
 
 __all__ = ["ConfigError", "ExperimentConfig", "Piece", "parse_config", "parse_config_string"]
@@ -200,11 +200,11 @@ def _parse_origin(section: _Section, length: int) -> int:
         raise ConfigError(
             f"[{section.name}] origin: expected 'zero', 'centered', or an integer, got {raw!r}"
         ) from None
-    # MAX_PHASE_CYCLES bounds every phase only while each index m of
-    # [origin, origin + length) has |m/M| <= 1
-    if not -length <= origin <= 0:
-        raise ConfigError(f"[{section.name}] origin: {origin} is outside [-{length}, 0], "
-                          "where every index m keeps |m/M| <= 1")
+    # MAX_PHASE_CYCLES bounds every phase only under this rule
+    try:
+        check_index_origin(origin, length)
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {exc}") from None
     return origin
 
 

@@ -200,9 +200,10 @@ def read_components_csv(path) -> list:
     return out
 
 
-def write_spectrogram_csv(path, spectrogram):
-    n_windows, window = spectrogram.blocks.shape
-    values = spectrogram.blocks.ravel()
+def write_spectrogram_csv(path, blocks):
+    """The (windows, bins) complex block matrix, one row per (window, bin)."""
+    n_windows, window = np.shape(blocks)
+    values = np.ravel(blocks)
     _atomic_write(path, ["window_index", "bin", "re", "im", "magnitude"],
                   np.repeat(np.arange(n_windows), window).tolist(),
                   np.tile(np.arange(window), n_windows).tolist(),

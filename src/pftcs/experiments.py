@@ -266,27 +266,11 @@ splot 'phase_transition.csv' skip 1 using 2:1:3 with points pt 5 ps 3 palette ti
 }
 
 
-def _with_seed(config: ExperimentConfig, seed) -> ExperimentConfig:
-    """``config`` with every seed (sampling, noise, trials) set to ``seed``.
-
-    ``None`` leaves the config unchanged.
-    """
-    if seed is None:
-        return config
-    seed = int(seed)
-    return replace(config, seed=seed, snr_seed=seed, pt_seed=seed,
-                   noise=replace(config.noise, seed=seed))
-
-
-def run_experiment(config: ExperimentConfig, out_dir, seed=None,
+def run_experiment(config: ExperimentConfig, out_dir,
                    plot_script: bool = False) -> ExperimentOutcome:
-    """Run one configured experiment, writing artifacts into ``out_dir``.
-
-    ``seed`` overrides every seed in the config (sampling, noise, trials).
-    """
+    """Run one configured experiment, writing artifacts into ``out_dir``."""
     if config.kind not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind {config.kind!r}")
-    config = _with_seed(config, seed)
     os.makedirs(out_dir, exist_ok=True)
     outcome = _RUNNERS[config.kind](config, out_dir)
     if plot_script:

@@ -33,7 +33,6 @@ from .recovery import (
 from .transform import KernelParams, kernel_values_at
 
 __all__ = [
-    "LpftSpectrogram",
     "WindowAssignment",
     "LpftRecoveryResult",
     "lpft",
@@ -50,80 +49,38 @@ def _check_window(window: int, length: int):
         raise ValueError(f"window {window} does not divide signal length {length}")
 
 
-@dataclass(frozen=True, eq=False)
-class LpftSpectrogram:
-    """Per-window spectra: ``blocks[b, k]`` is window ``b``, bin ``k``.
+def lpft(samples, params: KernelParams, window: int, index_origin=0) -> np.ndarray:
+    """Local transform of fully sampled data, as a (M // W, W) complex array.
 
-    ``counts`` holds the number of samples that fed each window;
-    ``empty_windows`` lists windows that had none (their rows are zero).
-    """
-
-    blocks: np.ndarray
-    window: int
-    length: int
-    index_origin: int
-    params: KernelParams
-    counts: tuple
-    empty_windows: tuple = ()
-
-    def __post_init__(self):
-        blocks = np.asarray(self.blocks, dtype=np.complex128)
-        if blocks.ndim != 2 or blocks.shape != (self.length // self.window, self.window):
-            raise ValueError("blocks must be (length // window, window)")
-        object.__setattr__(self, "blocks", blocks)
-
-    @property
-    def n_windows(self) -> int:
-        return self.blocks.shape[0]
-
-    def window_start(self, index: int) -> int:
-        return self.index_origin + index * self.window
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.blocks)
-
-
-def lpft(samples, params: KernelParams, window: int, index_origin=0) -> LpftSpectrogram:
-    """Local transform of fully sampled data.
-
-    Window ``b`` covers positions ``m0 + b*W .. m0 + (b+1)*W - 1``; its
-    spectrum is the length-``W`` DFT of the demodulated samples, indexed by
-    the offset into the window.
+    Row ``b`` is window ``b``, which covers positions
+    ``m0 + b*W .. m0 + (b+1)*W - 1``: the length-``W`` DFT of its
+    demodulated samples, indexed by the offset into the window.
     """
     samples = np.asarray(samples, dtype=np.complex128)
     length = samples.size
     _check_window(window, length)
     positions = np.arange(index_origin, index_origin + length)
     demod = samples * kernel_values_at(params, positions, length)
-    n_win = length // window
-    blocks = np.fft.fft(demod.reshape(n_win, window), axis=1)
-    return LpftSpectrogram(blocks, window, length, index_origin, params,
-                           (window,) * n_win)
-
-
-def _window_of(meas: MeasurementSet, window: int) -> np.ndarray:
-    return (meas.positions - meas.index_origin) // window
+    return np.fft.fft(demod.reshape(length // window, window), axis=1)
 
 
 def _window_counts(meas: MeasurementSet, window: int) -> np.ndarray:
-    return np.bincount(_window_of(meas, window), minlength=meas.signal_length // window)
+    return np.bincount((meas.positions - meas.index_origin) // window,
+                       minlength=meas.signal_length // window)
 
 
-def lpft_cs_estimate(meas: MeasurementSet, params: KernelParams, window: int) -> LpftSpectrogram:
-    """Masked per-window spectra, unbiased at matched bins.
+def lpft_cs_estimate(meas: MeasurementSet, params: KernelParams, window: int) -> np.ndarray:
+    """Masked per-window spectra, unbiased at matched bins, as a
+    (M // W, W) complex array.
 
-    Window ``b`` with ``N_b`` of its ``W`` samples available gets
-    ``(W/N_b) * sum y(m) phi(m) exp(-2j pi k (m - start_b)/W)``.  Windows
-    with no samples are zero and reported in ``empty_windows``.
+    Row ``b``, window ``b`` with ``N_b`` of its ``W`` samples available,
+    is ``(W/N_b) * sum y(m) phi(m) exp(-2j pi k (m - start_b)/W)`` at bin
+    ``k``.  Windows with no samples are zero rows.
     """
     length = meas.signal_length
     _check_window(window, length)
     phi = kernel_values_at(params, meas.positions, length)
-    blocks = _scatter_spectra(meas, (meas.values * phi)[:, None], window)[0]
-    counts = _window_counts(meas, window)
-    return LpftSpectrogram(blocks, window, length, meas.index_origin, params,
-                           tuple(int(c) for c in counts),
-                           tuple(int(b) for b in np.flatnonzero(counts == 0)))
+    return _scatter_spectra(meas, (meas.values * phi)[:, None], window)[0]
 
 
 def lpft_sweep(meas: MeasurementSet, grid: ParameterGrid, window: int,

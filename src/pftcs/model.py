@@ -57,6 +57,15 @@ def phase_cycles(coeffs, positions, length):
     return acc * t
 
 
+def check_index_origin(origin: int, length: int):
+    """Raise ValueError unless ``-length <= origin <= 0``: every index m of
+    ``[origin, origin + length)`` then has ``|m/M| <= 1``, which bounds each
+    phase by the sum of its coefficients' moduli."""
+    if not -length <= origin <= 0:
+        raise ValueError(f"origin: {origin} is outside [-{length}, 0], "
+                         "where every index m keeps |m/M| <= 1")
+
+
 @dataclass(frozen=True)
 class PolyPhaseComponent:
     """One constant-amplitude component with polynomial phase.
@@ -140,7 +149,8 @@ class MeasurementSet:
     """Randomly retained samples of one signal.
 
     ``positions`` are strictly increasing integers in
-    ``[index_origin, index_origin + signal_length)``; ``values`` holds the
+    ``[index_origin, index_origin + signal_length)``, where
+    ``-signal_length <= index_origin <= 0``; ``values`` holds the
     signal at those positions, each of modulus at most the largest double
     over ``signal_length * FIT_GAIN``.  The largest intermediates of a
     recovery are then finite: a scatter-FFT cell sums up to ``M`` values, a
@@ -170,6 +180,7 @@ class MeasurementSet:
             raise ValueError(f"measurement values must be finite with modulus at most "
                              f"{bound!r}, the largest double over signal_length "
                              f"{self.signal_length} times {FIT_GAIN:g}; got {peak!r}")
+        check_index_origin(self.index_origin, self.signal_length)
         if np.any(np.diff(pos) <= 0):
             raise ValueError("positions must be strictly increasing")
         lo = self.index_origin

@@ -498,7 +498,8 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     signals are driven to a numerically zero residual, and a pass that
     misses is restarted once from the best two-atom fit.  The policy then
     only scores the sweep.  Spurious support entries are pruned by relative
-    amplitude afterwards.
+    amplitude afterwards, and a fit worse than none (a relative residual
+    above 1) is dropped for the empty support.
 
     An empty detection yields an empty result, not an error, and since
     failing candidates are skipped, no fit raises
@@ -590,6 +591,8 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
             pruned = refit(kept)
             if pruned is not None:
                 support, amps, _, residual_ratio = pruned
+    if residual_ratio > 1.0:  # a fit worse than none: no bits left to fit
+        support, residual_ratio = [], 1.0
 
     # an empty support keeps the ratio 1 (0 for zero data) and reconstructs zeros
     order = sorted(range(len(support)),

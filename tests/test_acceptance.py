@@ -353,7 +353,7 @@ class TestStructuralProperties:
         comp = PolyPhaseComponent(0.5 + 0.5j, (12.0, -40.0))
         samples = synthesize_components([comp], 128)
         params = KernelParams((-40.0,))
-        whole = lpft(samples, params, 128).blocks[0]
+        whole = lpft(samples, params, 128)[0]
         plain = pft(samples, params).coeffs
         err = rel_error(whole, plain)
         acceptance(

@@ -918,6 +918,18 @@ class TestCliDeterminism:
         assert ((base / "measurements.csv").read_bytes()
                 != (moved / "measurements.csv").read_bytes())
 
+    @pytest.mark.parametrize("command", ["sweep", "recover"])
+    def test_seed_override_equals_config_seed(self, tmp_path, command):
+        # --seed 99 and "seed = 99" in the config are one run, for stage and
+        # full commands alike
+        flag = tmp_path / "flag"
+        written = tmp_path / "written"
+        cfg = write_config(tmp_path, TINY_RECOVER)
+        assert cli.main([command, "--config", cfg, "--out", str(flag), "--seed", "99"]) == 0
+        cfg = write_config(tmp_path, TINY_RECOVER.replace("seed = 8", "seed = 99"))
+        assert cli.main([command, "--config", cfg, "--out", str(written)]) == 0
+        assert self.read_all(flag) == self.read_all(written)
+
 
 @st.composite
 def sampling_cases(draw):

@@ -38,7 +38,6 @@ from pftcs import (
     run_experiment,
 )
 from pftcs import csvio
-from pftcs.lpft import LpftSpectrogram
 
 
 def file_bytes(path):
@@ -192,7 +191,8 @@ class TestSpectrogramCsv:
         path = tmp_path / "spectrogram.csv"
         csvio.write_spectrogram_csv(path, spect)
         back = csvio.read_spectrogram_csv(path)
-        np.testing.assert_array_equal(back, spect.blocks)
+        assert back.dtype == spect.dtype and back.shape == spect.shape
+        assert back.tobytes() == spect.tobytes()
 
 
 class TestAssignmentsCsv:
@@ -390,13 +390,11 @@ class TestByteFormatOracle:
     @given(st.tuples(st.integers(1, 4), st.integers(1, 8)).flatmap(complex_blocks))
     @example(NAN_THEN_OVERFLOW.reshape(1, 2))
     def test_spectrogram(self, blocks):
-        n_windows, window = blocks.shape
-        size = n_windows * window
-        spect = LpftSpectrogram(blocks, window, size, 0, KernelParams(()), (0,) * n_windows)
+        n_windows, _ = blocks.shape
         expected = reference(["window_index", "bin", "re", "im", "magnitude"],
                              [[b, k, cell(v.real), cell(v.imag), magnitude(v)]
                               for b in range(n_windows) for k, v in enumerate(blocks[b])])
-        assert written(csvio.write_spectrogram_csv, spect) == expected
+        assert written(csvio.write_spectrogram_csv, blocks) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(

@@ -120,12 +120,10 @@ class TestOneEstimator:
         phi = kernel_values_at(params, meas.positions, meas.signal_length)
         want = dense_window_spectra(meas, (meas.values * phi)[:, None], window)[0]
         spect = lpft_cs_estimate(meas, params, window)
-        np.testing.assert_allclose(spect.blocks, want, rtol=0,
+        assert isinstance(spect, np.ndarray)
+        assert spect.shape == (meas.signal_length // window, window)
+        np.testing.assert_allclose(spect, want, rtol=0,
                                    atol=1e-12 * max(1.0, np.max(np.abs(want))))
-        owner = (meas.positions - meas.index_origin) // window
-        counts = tuple(int(np.sum(owner == b)) for b in range(spect.n_windows))
-        assert spect.counts == counts
-        assert spect.empty_windows == tuple(b for b, c in enumerate(counts) if c == 0)
 
     @settings(max_examples=60, deadline=None)
     @given(masked_cases())
@@ -133,7 +131,8 @@ class TestOneEstimator:
         meas, _, _, params = case
         global_est = cs_spectral_estimate(meas, params).coeffs
         windowed = lpft_cs_estimate(meas, params, meas.signal_length)
-        np.testing.assert_allclose(windowed.blocks[0], global_est, rtol=0,
+        assert windowed.shape == (1, meas.signal_length)
+        np.testing.assert_allclose(windowed[0], global_est, rtol=0,
                                    atol=1e-12 * max(1.0, np.max(np.abs(global_est))))
 
 
@@ -144,8 +143,8 @@ class TestLpft:
         params = KernelParams((-20.0, 4.0))
         global_spec = pft(x, params, index_origin=-32).coeffs
         local = lpft(x, params, window=64, index_origin=-32)
-        assert local.n_windows == 1
-        np.testing.assert_allclose(local.blocks[0], global_spec,
+        assert local.shape == (1, 64)
+        np.testing.assert_allclose(local[0], global_spec,
                                    atol=1e-12 * np.max(np.abs(global_spec)))
 
     def test_matched_component_concentrates_in_every_window(self):
@@ -155,20 +154,26 @@ class TestLpft:
         comp = PolyPhaseComponent(1.5, (24.0, -48.0))
         x = synthesize_components([comp], length)
         spect = lpft(x, KernelParams((-48.0,)), window)
-        mags = spect.magnitude()
+        mags = np.abs(spect)
         local_bin = 24 * window // length
-        for b in range(spect.n_windows):
+        assert mags.shape == (length // window, window)
+        for b in range(mags.shape[0]):
             assert mags[b, local_bin] == pytest.approx(window * 1.5, rel=1e-9)
             others = np.delete(mags[b], local_bin)
             assert np.max(others) < 1e-9 * window * 1.5
 
     def test_window_starts_and_counts(self):
-        x = np.ones(64, dtype=np.complex128)
-        spect = lpft(x, KernelParams(), 16, index_origin=-32)
-        assert spect.n_windows == 4
-        assert [spect.window_start(i) for i in range(4)] == [-32, -16, 0, 16]
-        assert spect.counts == (16, 16, 16, 16)
-        assert spect.empty_windows == ()
+        # row b is window b, which starts at origin + b * W: bin 0 of a
+        # window sums its samples, so the positions themselves give
+        # W * start + W (W - 1) / 2, and ones give the sample count W
+        origin, window = -32, 16
+        positions = np.arange(origin, origin + 64).astype(np.complex128)
+        spect = lpft(positions, KernelParams(), window, index_origin=origin)
+        assert isinstance(spect, np.ndarray) and spect.shape == (4, window)
+        starts = np.array([-32, -16, 0, 16])
+        np.testing.assert_allclose(spect[:, 0], window * starts + window * (window - 1) / 2)
+        ones = lpft(np.ones(64, dtype=np.complex128), KernelParams(), window, origin)
+        np.testing.assert_allclose(ones[:, 0], np.full(4, window))
 
     def test_window_validation(self):
         x = np.ones(12, dtype=np.complex128)
@@ -187,8 +192,7 @@ class TestLpftCsEstimate:
         params = KernelParams((32.0,))
         masked = lpft_cs_estimate(meas, params, window)
         full = lpft(x, params, window, origin)
-        np.testing.assert_allclose(masked.blocks, full.blocks,
-                                   atol=1e-12 * np.max(np.abs(full.blocks)))
+        np.testing.assert_allclose(masked, full, atol=1e-12 * np.max(np.abs(full)))
 
     def test_single_window_equals_global_estimate(self):
         # with W = M the masked window estimate is exactly the masked
@@ -199,7 +203,7 @@ class TestLpftCsEstimate:
         params = KernelParams((32.0,))
         windowed = lpft_cs_estimate(meas, params, 64)
         global_est = cs_spectral_estimate(meas, params).coeffs
-        np.testing.assert_allclose(windowed.blocks[0], global_est,
+        np.testing.assert_allclose(windowed[0], global_est,
                                    atol=1e-12 * np.max(np.abs(global_est)))
 
     def test_empty_windows_flagged_and_zero(self):
@@ -209,9 +213,8 @@ class TestLpftCsEstimate:
                                     np.arange(48, 56)])
         meas = MeasurementSet.from_samples(x, positions, length)
         spect = lpft_cs_estimate(meas, KernelParams(), window)
-        assert spect.empty_windows == (1,)
-        assert spect.counts == (8, 0, 8, 8)
-        np.testing.assert_array_equal(spect.blocks[1], np.zeros(window))
+        np.testing.assert_array_equal(spect[1], np.zeros(window))
+        assert np.all(np.any(spect[[0, 2, 3]], axis=1))
 
     def test_scaling_is_per_window_count(self):
         # a fully sampled window reads W * amplitude at the matched bin,
@@ -223,8 +226,8 @@ class TestLpftCsEstimate:
         positions = np.concatenate([np.arange(0, 16), np.arange(16, 32, 2)])
         meas = MeasurementSet.from_samples(x, positions, length)
         spect = lpft_cs_estimate(meas, KernelParams((-24.0,)), window)
-        assert abs(spect.blocks[0, 0]) == pytest.approx(window * 2.0, rel=1e-9)
-        assert abs(spect.blocks[1, 0]) == pytest.approx(window * 2.0, rel=1e-9)
+        assert abs(spect[0, 0]) == pytest.approx(window * 2.0, rel=1e-9)
+        assert abs(spect[1, 0]) == pytest.approx(window * 2.0, rel=1e-9)
 
 
 class TestLpftSweep:
@@ -384,7 +387,7 @@ class TestDemodulatedWindowFit:
             sel = np.flatnonzero(owner == a.window_index)
             if a.grid_index is None:
                 continue
-            mags = lpft_cs_estimate(meas, a.params, window).magnitude()[a.window_index]
+            mags = np.abs(lpft_cs_estimate(meas, a.params, window)[a.window_index])
             _, bins = detect_bins_oracle(mags, policy)
             assert a.bins == tuple(bins[:max(1, sel.size // 2 - 1)])
             pos = meas.positions[sel]

@@ -134,6 +134,16 @@ class TestMeasurementSet:
         with pytest.raises(ValueError):
             MeasurementSet(np.array([-5, 0]), np.zeros(2), 8, index_origin=-4)
 
+    @pytest.mark.parametrize("origin", [1, -65, 10**9])
+    def test_rejects_origin_outside_the_phase_rule(self, origin):
+        # every index m of [origin, origin + M) must keep |m/M| <= 1
+        with pytest.raises(ValueError, match="origin"):
+            MeasurementSet(np.array([origin]), np.ones(1), 64, origin)
+
+    def test_accepts_origins_at_the_rule_edges(self):
+        for origin in (-64, 0):
+            assert MeasurementSet(np.array([origin]), np.ones(1), 64, origin).count == 1
+
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
             MeasurementSet(np.array([0, 1]), np.zeros(3), 8)

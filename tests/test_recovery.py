@@ -1043,6 +1043,31 @@ class TestSubnormalMeasurements:
         assert result.components
         assert np.isfinite(result.measurement_residual_ratio)
 
+    @pytest.mark.parametrize("pursuit", ["threshold", "exact"])
+    def test_bottom_of_subnormal_range_fits_nothing(self, pursuit):
+        # 16 values of modulus 5e-324 at M = 64 keep no significant bits, so
+        # every fit is worse than none
+        meas = MeasurementSet(self.POSITIONS, 5e-324 * self.unit(0), 64)
+        result = recover(meas, ParameterGrid.single(2, (0.0, 16.0, 32.0, 48.0)),
+                         ThresholdPolicy.statistic(0.99), RecoverConfig(pursuit=pursuit))
+        assert result.components == ()
+        assert result.measurement_residual_ratio == 1.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(length=st.sampled_from([32, 64]), seed=st.integers(0, 2**32 - 1),
+           count=st.integers(2, 32),
+           scale=st.sampled_from([5e-324, 1e-320, 1e-310, 1.0, 1e300]),
+           policy=st.sampled_from([ThresholdPolicy.relative(0.5),
+                                   ThresholdPolicy.statistic(0.99)]),
+           pursuit=st.sampled_from(["threshold", "exact"]))
+    def test_no_fit_is_worse_than_none(self, length, seed, count, scale, policy, pursuit):
+        rng = np.random.default_rng(seed)
+        positions = np.sort(rng.choice(length, size=count, replace=False))
+        meas = MeasurementSet(positions, scale * np.exp(2j * np.pi * rng.random(count)), length)
+        result = recover(meas, ParameterGrid.single(2, (0.0, 8.0, 16.0, 24.0)), policy,
+                         RecoverConfig(pursuit=pursuit))
+        assert result.measurement_residual_ratio <= 1.0
+
     def test_lpft_recover_with_one_subnormal_window(self):
         # window 1 of 4 holds values of modulus 1e-310, the others of 1
         scales = np.repeat([1.0, 1e-310, 1.0, 1.0], 4)
