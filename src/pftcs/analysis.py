@@ -27,6 +27,7 @@ from .recovery import (
     ParameterGrid,
     RecoverConfig,
     ThresholdPolicy,
+    _check_estimate_cells,
     recover,
 )
 
@@ -37,6 +38,7 @@ __all__ = [
     "SnrReport",
     "snr_experiment",
     "PhaseTransitionGrid",
+    "phase_transition_grid",
     "phase_transition",
 ]
 
@@ -212,6 +214,42 @@ def _draw_components(rng: np.random.Generator, k: int, length: int, rate_values)
     ]
 
 
+def phase_transition_grid(k_values, n_values, trials: int, length: int,
+                          rate_values=None) -> ParameterGrid:
+    """Check :func:`phase_transition`'s arguments and build its rate grid.
+
+    ``rate_values`` defaults to the 8 values ``i * length/2``.  Each
+    ``ValueError`` message starts with the name of the value at fault, as
+    the phase-transition config spells it: ``trials``, ``components``,
+    ``counts``, ``rates`` or ``length and rates``.
+    """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    for key, values in (("components", k_values), ("counts", n_values)):
+        if not values:
+            raise ValueError(f"{key}: needs at least one value")
+    for n in n_values:
+        if not 2 <= n <= length:
+            raise ValueError(f"counts: measurement count {n} is below 2 "
+                             f"or exceeds signal length {length}")
+    if rate_values is None:
+        rate_values = tuple(i * length / 2 for i in range(8))
+    try:
+        grid = ParameterGrid.single(2, rate_values)
+    except ValueError as exc:
+        raise ValueError(f"rates: {exc}") from None
+    n_pairs = length * grid.n_points
+    for k in k_values:
+        if not 1 <= k <= n_pairs:
+            raise ValueError(f"components: {k} is outside 1..{n_pairs}, the distinct "
+                             f"(bin, rate) pairs of length {length} and {grid.n_points} rates")
+    try:
+        _check_estimate_cells(length, grid.n_points)
+    except ValueError as exc:
+        raise ValueError(f"length and rates: {exc}") from None
+    return grid
+
+
 def phase_transition(k_values, n_values, trials: int, seed: int,
                      length: int = 128, rate_values=None) -> PhaseTransitionGrid:
     """Map the exact-recovery success fraction over component/measurement counts.
@@ -223,26 +261,14 @@ def phase_transition(k_values, n_values, trials: int, seed: int,
     policy.  Success means the reconstruction's relative error energy is
     below ``SUCCESS_TOL``; any other trial, a wrong support or a missed
     recovery, is a failure.  Trial streams are seeded by
-    ``(seed, K, N, trial)``.  ``K`` may not exceed the
-    ``length * len(rate_values)`` distinct pairs.
+    ``(seed, K, N, trial)``.  :func:`phase_transition_grid` checks the
+    arguments; ``K`` may not exceed the ``length * len(rate_values)``
+    distinct pairs.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     k_values = tuple(int(k) for k in k_values)
     n_values = tuple(int(n) for n in n_values)
-    if any(k < 1 for k in k_values) or any(n < 2 for n in n_values):
-        raise ValueError("component counts must be >= 1 and measurement counts >= 2")
-    if max(n_values, default=0) > length:
-        raise ValueError(f"measurement count {max(n_values)} exceeds signal length {length}")
-    if rate_values is None:
-        rate_values = tuple(float(i * length / 2) for i in range(8))
-    else:
-        rate_values = tuple(float(v) for v in rate_values)
-    grid = ParameterGrid.single(2, rate_values)
-    n_pairs = length * len(rate_values)
-    if max(k_values, default=0) > n_pairs:
-        raise ValueError(f"{max(k_values)} components exceed the {n_pairs} distinct "
-                         f"(bin, rate) pairs of length {length} and {len(rate_values)} rates")
+    grid = phase_transition_grid(k_values, n_values, trials, length, rate_values)
+    rate_values = grid.orders[0][1]
     policy = ThresholdPolicy.relative(0.5)  # scores the sweep only
 
     success = np.zeros((len(k_values), len(n_values)))

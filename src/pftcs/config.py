@@ -10,10 +10,13 @@ syntax; lists are whitespace-separated.  All validation errors raise
 from __future__ import annotations
 
 import configparser
+import contextlib
 import math
 import sys
 from dataclasses import dataclass, field
 
+from .analysis import phase_transition_grid
+from .lpft import _check_window
 from .model import NoiseSpec, PolyPhaseComponent, check_index_origin
 from .recovery import ParameterGrid, RecoverConfig, ThresholdPolicy, _check_estimate_cells
 
@@ -67,6 +70,18 @@ class ExperimentConfig:
     pt_rates: tuple | None = None
 
 
+def _boolean(raw):
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError(raw) from None
+
+
+# what a value of each converter must look like, for errors: alone, in a list
+_EXPECTED = {int: ("an integer", "integers"), float: ("a number", "numbers"),
+             complex: ("a complex number", None), _boolean: ("a boolean", None)}
+
+
 class _Section:
     """Typed accessors over one INI section with keyed error messages."""
 
@@ -75,63 +90,46 @@ class _Section:
         self.mapping = dict(mapping)
         self.seen = set()
 
-    def _raw(self, key, required):
-        self.seen.add(key)
-        if key not in self.mapping:
-            if required:
-                raise ConfigError(f"[{self.name}] missing required key {key!r}")
-            return None
-        return self.mapping[key].strip()
-
-    def _convert(self, key, raw, conv, kind):
+    def _convert(self, key, raw, conv, expected):
         try:
             return conv(raw)
         except ValueError:
-            raise ConfigError(f"[{self.name}] {key}: expected {kind}, got {raw!r}") from None
+            raise ConfigError(f"[{self.name}] {key}: expected {expected}, got {raw!r}") from None
 
-    def get_str(self, key, default=None, required=False, choices=None):
-        raw = self._raw(key, required)
-        value = default if raw is None else raw
+    def get(self, key, conv=str, default=None, required=False, choices=None):
+        """``key``'s value converted by ``conv``, or ``default`` when unset."""
+        self.seen.add(key)
+        if key in self.mapping:
+            raw = self.mapping[key].strip()
+            if conv is complex:
+                raw = raw.replace(" ", "")
+            value = raw if conv is str else self._convert(key, raw, conv, _EXPECTED[conv][0])
+        elif required:
+            raise ConfigError(f"[{self.name}] missing required key {key!r}")
+        else:
+            value = default
         if choices is not None and value not in choices:
             raise ConfigError(f"[{self.name}] {key}: expected one of {choices}, got {value!r}")
         return value
 
-    def get_int(self, key, default=None, required=False):
-        raw = self._raw(key, required)
-        return default if raw is None else self._convert(key, raw, int, "an integer")
-
-    def get_float(self, key, default=None, required=False):
-        raw = self._raw(key, required)
-        return default if raw is None else self._convert(key, raw, float, "a number")
-
-    def get_bool(self, key, default=False):
-        raw = self._raw(key, False)
-        if raw is None:
-            return default
-        lowered = raw.lower()
-        if lowered in ("true", "yes", "1", "on"):
-            return True
-        if lowered in ("false", "no", "0", "off"):
-            return False
-        raise ConfigError(f"[{self.name}] {key}: expected a boolean, got {raw!r}")
-
-    def get_floats(self, key, required=False):
-        raw = self._raw(key, required)
+    def get_list(self, key, conv, required=False):
+        """``key``'s whitespace-separated values converted by ``conv``, or None."""
+        raw = self.get(key, required=required)
         if raw is None:
             return None
-        return tuple(self._convert(key, tok, float, "numbers") for tok in raw.split())
+        return tuple(self._convert(key, tok, conv, _EXPECTED[conv][1]) for tok in raw.split())
 
-    def get_ints(self, key, required=False):
-        raw = self._raw(key, required)
-        if raw is None:
-            return None
-        return tuple(self._convert(key, tok, int, "integers") for tok in raw.split())
-
-    def get_complex(self, key, default=None, required=False):
-        raw = self._raw(key, required)
-        if raw is None:
-            return default
-        return self._convert(key, raw.replace(" ", ""), complex, "a complex number")
+    @contextlib.contextmanager
+    def checked(self, key=None):
+        """Re-raise a library ``ValueError`` as a ConfigError naming this
+        section, and ``key`` where the library message does not."""
+        try:
+            yield
+        except ConfigError:
+            raise
+        except ValueError as exc:
+            where = f"[{self.name}] {key}: " if key else f"[{self.name}] "
+            raise ConfigError(f"{where}{exc}") from None
 
     def reject_unknown(self):
         unknown = set(self.mapping) - self.seen
@@ -140,12 +138,10 @@ class _Section:
 
 
 def _component_from(section: _Section) -> PolyPhaseComponent:
-    amplitude = section.get_complex("amplitude", default=1 + 0j)
-    coeffs = section.get_floats("coeffs", required=True)
-    try:
+    amplitude = section.get("amplitude", complex, default=1 + 0j)
+    coeffs = section.get_list("coeffs", float, required=True)
+    with section.checked():
         component = PolyPhaseComponent(amplitude, coeffs)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {exc}") from None
     cycles = math.fsum(abs(c) for c in component.phase_coeffs)
     if cycles > MAX_PHASE_CYCLES:
         raise ConfigError(f"[{section.name}] coeffs: sum of |c_p| {cycles!r} exceeds "
@@ -189,76 +185,58 @@ def _numbered_sections(sections, prefix):
 
 
 def _parse_origin(section: _Section, length: int) -> int:
-    raw = section.get_str("origin", default="zero")
+    raw = section.get("origin", default="zero")
     if raw == "zero":
         return 0
     if raw == "centered":
         return -(length // 2)
-    try:
-        origin = int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section.name}] origin: expected 'zero', 'centered', or an integer, got {raw!r}"
-        ) from None
+    origin = section._convert("origin", raw, int, "'zero', 'centered', or an integer")
     # MAX_PHASE_CYCLES bounds every phase only under this rule
-    try:
+    with section.checked():
         check_index_origin(origin, length)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {exc}") from None
     return origin
 
 
 def _parse_grid(section: _Section) -> ParameterGrid:
-    degree = section.get_int("degree", required=True)
-    values = section.get_floats("values")
-    start = section.get_float("start")
-    stop = section.get_float("stop")
-    step = section.get_float("step")
+    degree = section.get("degree", int, required=True)
+    values = section.get_list("values", float)
+    start = section.get("start", float)
+    stop = section.get("stop", float)
+    step = section.get("step", float)
     has_range = any(v is not None for v in (start, stop, step))
     if values is not None and has_range:
         raise ConfigError(f"[{section.name}] give either values or start/stop/step, not both")
-    try:
+    with section.checked():
         if values is not None:
             return ParameterGrid.single(degree, values)
         if not all(v is not None for v in (start, stop, step)):
             raise ConfigError(f"[{section.name}] needs values or all of start/stop/step")
         return ParameterGrid.from_range(degree, start, stop, step)
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {exc}") from None
 
 
 def _parse_policy(section: _Section) -> ThresholdPolicy:
-    kind = section.get_str("kind", required=True,
-                           choices=("relative-to-max", "missing-sample-statistic"))
-    try:
+    kind = section.get("kind", required=True,
+                       choices=("relative-to-max", "missing-sample-statistic"))
+    with section.checked():
         if kind == "relative-to-max":
-            return ThresholdPolicy.relative(section.get_float("ratio", default=0.5))
-        return ThresholdPolicy.statistic(section.get_float("confidence", default=0.99))
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {exc}") from None
+            return ThresholdPolicy.relative(section.get("ratio", float, default=0.5))
+        return ThresholdPolicy.statistic(section.get("confidence", float, default=0.99))
 
 
 def _parse_noise(section: _Section) -> NoiseSpec:
-    kind = section.get_str("kind", default="none", choices=("none", "complex-gaussian"))
-    snr = section.get_float("snr_db", default=float("inf"))
-    seed = section.get_int("seed", default=0)
-    try:
+    kind = section.get("kind", default="none", choices=("none", "complex-gaussian"))
+    snr = section.get("snr_db", float, default=float("inf"))
+    seed = section.get("seed", int, default=0)
+    with section.checked():
         return NoiseSpec(kind, snr, seed)
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {exc}") from None
 
 
 def _parse_recover(section: _Section) -> RecoverConfig:
-    try:
+    with section.checked():
         return RecoverConfig(
-            max_components=section.get_int("max_components"),
-            pursuit=section.get_str("pursuit", default="threshold",
-                                    choices=("threshold", "exact")),
+            max_components=section.get("max_components", int),
+            pursuit=section.get("pursuit", default="threshold", choices=("threshold", "exact")),
         )
-    except ValueError as exc:
-        raise ConfigError(f"[{section.name}] {exc}") from None
 
 
 def parse_config_string(text: str) -> ExperimentConfig:
@@ -278,13 +256,6 @@ def parse_config(path) -> ExperimentConfig:
         except configparser.Error as exc:
             raise ConfigError(f"{path}: INI syntax error: {exc}") from None
     return _build(parser)
-
-
-def _check_cells(keys: str, length: int, n_points: int):
-    try:
-        _check_estimate_cells(length, n_points)
-    except ValueError as exc:
-        raise ConfigError(f"{keys}: {exc}") from None
 
 
 def _require(sections, name) -> _Section:
@@ -307,48 +278,27 @@ def _build(parser) -> ExperimentConfig:
 
 def _read(sections) -> ExperimentConfig:
     experiment = _require(sections, "experiment")
-    kind = experiment.get_str("kind", required=True, choices=KINDS)
-    label = experiment.get_str("label", default="")
+    kind = experiment.get("kind", required=True, choices=KINDS)
+    label = experiment.get("label", default="")
 
     if kind == "phase-transition":
         pt = _require(sections, "phase_transition")
         config = ExperimentConfig(
             kind=kind, label=label,
-            pt_length=pt.get_int("length", default=128),
-            pt_components=pt.get_ints("components", required=True),
-            pt_counts=pt.get_ints("counts", required=True),
-            pt_trials=pt.get_int("trials", required=True),
-            pt_seed=pt.get_int("seed", default=0),
-            pt_rates=pt.get_floats("rates"),
+            pt_length=pt.get("length", int, default=128),
+            pt_components=pt.get_list("components", int, required=True),
+            pt_counts=pt.get_list("counts", int, required=True),
+            pt_trials=pt.get("trials", int, required=True),
+            pt_seed=pt.get("seed", int, default=0),
+            pt_rates=pt.get_list("rates", float),
         )
-        if config.pt_trials < 1:
-            raise ConfigError("[phase_transition] trials must be positive")
-        for key, values in (("components", config.pt_components), ("counts", config.pt_counts)):
-            if not values:
-                raise ConfigError(f"[phase_transition] {key}: needs at least one value")
-        length = config.pt_length
-        for n in config.pt_counts:
-            if not 2 <= n <= length:
-                raise ConfigError(f"[phase_transition] counts: measurement count {n} is below 2 "
-                                  f"or exceeds signal length {length}")
-        if config.pt_rates is not None:
-            try:
-                ParameterGrid.single(2, config.pt_rates)
-            except ValueError as exc:
-                raise ConfigError(f"[phase_transition] rates: {exc}") from None
-        # phase_transition's default grid has 8 rates
-        n_rates = 8 if config.pt_rates is None else len(config.pt_rates)
-        for k in config.pt_components:
-            if not 1 <= k <= length * n_rates:
-                raise ConfigError(
-                    f"[phase_transition] components: {k} is outside 1..{length * n_rates}, "
-                    f"the distinct (bin, rate) pairs of length {length} and {n_rates} rates"
-                )
-        _check_cells("[phase_transition] length and rates", length, n_rates)
+        with pt.checked():
+            phase_transition_grid(config.pt_components, config.pt_counts, config.pt_trials,
+                                  config.pt_length, config.pt_rates)
         return config
 
     signal = _require(sections, "signal")
-    length = signal.get_int("length", required=True)
+    length = signal.get("length", int, required=True)
     if length < 2:
         raise ConfigError("[signal] length must be at least 2")
     origin = _parse_origin(signal, length)
@@ -365,8 +315,8 @@ def _read(sections) -> ExperimentConfig:
         section = sections[name]
         component = _component_from(section)
         _check_energy(name, abs(component.amplitude), length)
-        start = section.get_int("start", required=True)
-        stop = section.get_int("stop", required=True)
+        start = section.get("start", int, required=True)
+        stop = section.get("stop", int, required=True)
         if stop <= start:
             raise ConfigError(f"[{name}] stop must exceed start")
         pieces.append(Piece(component, start, stop))
@@ -391,7 +341,8 @@ def _read(sections) -> ExperimentConfig:
             )
 
     grid = _parse_grid(_require(sections, "grid"))
-    _check_cells("[signal] length and [grid]", length, grid.n_points)
+    with signal.checked("length and [grid]"):
+        _check_estimate_cells(length, grid.n_points)
     policy = _parse_policy(_require(sections, "policy"))
     recover_section = sections.get("recover") if kind != "lpft-recover" else None
     recover_cfg = _parse_recover(recover_section) if recover_section is not None else RecoverConfig()
@@ -402,9 +353,9 @@ def _read(sections) -> ExperimentConfig:
     if kind == "snr-table":
         # snr-table draws its own masks and noise per trial
         table = _require(sections, "snr_table")
-        snr_in = table.get_floats("snr_in_db", required=True)
-        counts = table.get_ints("counts", required=True)
-        trials = table.get_int("trials", required=True)
+        snr_in = table.get_list("snr_in_db", float, required=True)
+        counts = table.get_list("counts", int, required=True)
+        trials = table.get("trials", int, required=True)
         for key, values in (("snr_in_db", snr_in), ("counts", counts)):
             if not values:
                 raise ConfigError(f"[snr_table] {key}: needs at least one value")
@@ -417,29 +368,21 @@ def _read(sections) -> ExperimentConfig:
                 raise ConfigError(f"[snr_table] snr_in_db: {snr} is not finite")
         if trials < 1:
             raise ConfigError("[snr_table] trials must be positive")
-        # the Monte-Carlo signal model supports only these two index origins
-        centered = -(length // 2)
-        if origin not in (0, centered):
-            raise ConfigError(
-                f"[signal] origin: snr-table needs 'zero' or 'centered' (0 or {centered}), "
-                f"got {origin}"
-            )
         return ExperimentConfig(**common, snr_in_db=snr_in, snr_counts=counts,
-                                snr_trials=trials, snr_seed=table.get_int("seed", default=0))
+                                snr_trials=trials, snr_seed=table.get("seed", int, default=0))
 
     noise_section = sections.get("noise")
     noise = _parse_noise(noise_section) if noise_section is not None else NoiseSpec()
     sampling = _require(sections, "sampling")
-    count = sampling.get_int("count")
-    fraction = sampling.get_float("fraction")
-    per_window = sampling.get_bool("per_window", default=False)
+    count = sampling.get("count", int)
+    fraction = sampling.get("fraction", float)
+    per_window = sampling.get("per_window", _boolean, default=False)
     window = None
     if kind == "lpft-recover" or per_window:
-        window = _require(sections, "lpft").get_int("window", required=True)
-        if window < 2 or length % window != 0:
-            raise ConfigError(
-                f"[lpft] window {window} must be >= 2 and divide the signal length {length}"
-            )
+        lpft = _require(sections, "lpft")
+        window = lpft.get("window", int, required=True)
+        with lpft.checked():
+            _check_window(window, length)
     # under per_window, count and fraction are per window
     span, where = ((window, f"window {window}") if per_window
                    else (length, f"signal length {length}"))
@@ -458,4 +401,4 @@ def _read(sections) -> ExperimentConfig:
     elif count > span:
         raise ConfigError(f"[sampling] measurement count {count} exceeds {where}")
     return ExperimentConfig(**common, noise=noise, sampling_count=count, per_window=per_window,
-                            seed=sampling.get_int("seed", default=0), window=window)
+                            seed=sampling.get("seed", int, default=0), window=window)

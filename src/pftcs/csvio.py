@@ -211,16 +211,25 @@ def write_spectrogram_csv(path, blocks):
 
 
 def read_spectrogram_csv(path) -> np.ndarray:
-    """Returns the (windows, bins) complex block matrix."""
+    """Returns the (windows, bins) complex block matrix; every (window, bin)
+    cell must have exactly one row."""
     rows = _read_rows(path, ["window_index", "bin", "re", "im", "magnitude"])
     if not rows:
         raise ValueError(f"{path}: empty spectrogram")
-    n_win = max(int(r[0]) for r in rows) + 1
-    window = max(int(r[1]) for r in rows) + 1
-    blocks = np.zeros((n_win, window), dtype=np.complex128)
-    for r in rows:
-        blocks[int(r[0]), int(r[1])] = complex(float(r[2]), float(r[3]))
-    return blocks
+    cells = np.array([(int(r[0]), int(r[1])) for r in rows], dtype=np.int64)
+    if cells.min() < 0:
+        raise ValueError(f"{path}: negative window index or bin")
+    n_win, window = (cells.max(axis=0) + 1).tolist()
+    flat = cells[:, 0] * window + cells[:, 1]
+    counts = np.bincount(flat, minlength=n_win * window)
+    bad = np.flatnonzero(counts != 1)
+    if bad.size:
+        b, k = divmod(int(bad[0]), window)
+        what = "missing" if counts[bad[0]] == 0 else "repeated"
+        raise ValueError(f"{path}: {what} cell (window {b}, bin {k})")
+    blocks = np.zeros(n_win * window, dtype=np.complex128)
+    blocks[flat] = [complex(float(r[2]), float(r[3])) for r in rows]
+    return blocks.reshape(n_win, window)
 
 
 def write_assignments_csv(path, result):

@@ -103,10 +103,8 @@ class PolyPhaseComponent:
 
 @dataclass(frozen=True)
 class MultiComponentSignal:
-    """A sum of polynomial-phase components on ``[m0, m0 + M)``.
-
-    ``index_origin`` is restricted to 0 or ``-M/2`` (zero-based or centered
-    sampling); everything downstream works with either.
+    """A sum of polynomial-phase components on ``[m0, m0 + M)``, where
+    ``-M <= m0 <= 0`` (:func:`check_index_origin`).
     """
 
     components: tuple
@@ -117,11 +115,7 @@ class MultiComponentSignal:
         object.__setattr__(self, "components", tuple(self.components))
         if self.length <= 0:
             raise ValueError(f"length must be positive, got {self.length}")
-        if self.index_origin not in (0, -(self.length // 2)):
-            raise ValueError(
-                f"index_origin must be 0 or -length//2 = {-(self.length // 2)}, "
-                f"got {self.index_origin}"
-            )
+        check_index_origin(self.index_origin, self.length)
         for comp in self.components:
             if not isinstance(comp, PolyPhaseComponent):
                 raise TypeError("components must be PolyPhaseComponent instances")

@@ -1,5 +1,6 @@
 """Config grammar and command-line behaviour: parsing, errors, exit codes."""
 
+import math
 import os
 import re
 from importlib import resources
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pftcs import cli, experiments, recovery
+from pftcs import cli, experiments, phase_transition, recovery
 from pftcs.config import ConfigError, parse_config, parse_config_string
+from pftcs.lpft import _check_window
 from pftcs.recovery import ThresholdPolicy
 
 TINY_RECOVER = """\
@@ -114,6 +116,30 @@ rates = 0 16
 # sweep-recover with an independent 4-sample mask in each 16-sample window
 PER_WINDOW_RECOVER = TINY_RECOVER.replace(
     "count = 24", "count = 4\nper_window = true") + "\n[lpft]\nwindow = 16\n"
+
+# TINY_PT's values, as phase_transition arguments; None leaves rates unset
+PT_ARGS = {"length": 32, "components": (1,), "counts": (4, 8), "trials": 2,
+           "rates": (0.0, 16.0)}
+
+BAD_PHASE_TRANSITION = [
+    pytest.param({"components": (0,)}, "components", id="components-zero"),
+    pytest.param({"components": (1, -2)}, "components", id="components-negative"),
+    pytest.param({"components": ()}, "components", id="components-empty"),
+    pytest.param({"components": (65,)}, "components", id="components-over-pairs"),
+    pytest.param({"components": (257,), "rates": None}, "components",
+                 id="components-over-default-pairs"),
+    pytest.param({"counts": ()}, "counts", id="counts-empty"),
+    pytest.param({"counts": (1, 8)}, "counts", id="counts-below-2"),
+    pytest.param({"counts": (4, 33)}, "counts", id="counts-over-length"),
+    pytest.param({"rates": (16.0, 0.0)}, "rates", id="rates-decreasing"),
+    pytest.param({"rates": (0.0, math.nan)}, "rates", id="rates-nan"),
+    pytest.param({"rates": (0.0, math.inf)}, "rates", id="rates-inf"),
+    pytest.param({"rates": ()}, "rates", id="rates-empty"),
+    pytest.param({"length": 2 ** 22, "rates": None}, "length and rates",
+                 id="cells-over-cap"),
+    pytest.param({"trials": 0}, "trials", id="trials-zero"),
+]
+
 
 def with_origin(text, origin):
     """``text`` with its ``[signal] origin`` set to ``origin``."""
@@ -380,6 +406,24 @@ class TestParseErrors:
         with pytest.raises(ConfigError, match=rf"\[phase_transition\] {key}: "):
             parse_config_string(TINY_PT.replace(old, new))
 
+    @pytest.mark.parametrize("values, key", BAD_PHASE_TRANSITION)
+    def test_phase_transition_rules_shared_with_library(self, values, key):
+        # the parser and the library apply one rule set, so each bad input
+        # raises the library's message, prefixed with the section by config
+        args = {**PT_ARGS, **values}
+        with pytest.raises(ValueError) as library:
+            phase_transition(args["components"], args["counts"], args["trials"], seed=2,
+                             length=args["length"], rate_values=args["rates"])
+        assert str(library.value).startswith(key)
+        text = "[experiment]\nkind = phase-transition\n\n[phase_transition]\nseed = 2\n"
+        for name, value in args.items():
+            if value is not None:
+                words = value if isinstance(value, tuple) else (value,)
+                text += f"{name} = {' '.join(map(str, words))}\n"
+        with pytest.raises(ConfigError) as config:
+            parse_config_string(text)
+        assert str(config.value) == f"[phase_transition] {library.value}"
+
     @pytest.mark.parametrize("old, new, key", BAD_SNR_TABLE)
     def test_snr_table_values_rejected(self, old, new, key):
         with pytest.raises(ConfigError, match=rf"\[snr_table\] {key}: "):
@@ -472,6 +516,18 @@ class TestParseErrors:
         text = TINY_LPFT.replace("window = 16", "window = 24")
         with pytest.raises(ConfigError, match="divide"):
             parse_config_string(text)
+
+    @pytest.mark.parametrize("text, message", [
+        (TINY_RECOVER + "\n[recover]\nmax_components = x\n",
+         "[recover] max_components: expected an integer, got 'x'"),
+        (TINY_RECOVER.replace("confidence = 0.999", "confidence = high"),
+         "[policy] confidence: expected a number, got 'high'"),
+    ], ids=["recover", "policy"])
+    def test_unconvertible_value_named_once(self, text, message):
+        # a key's own error passes through the library-error wrapper as is
+        with pytest.raises(ConfigError) as error:
+            parse_config_string(text)
+        assert str(error.value) == message
 
     def test_bad_boolean(self):
         text = TINY_LPFT.replace("per_window = true", "per_window = maybe")
@@ -605,16 +661,42 @@ class TestParseErrors:
         text = TINY_RECOVER.replace("count = 24", "fraction = 0.008")
         assert parse_config_string(text).sampling_count == 1
 
-    @pytest.mark.parametrize("origin", ["5", "-31"])
+    @pytest.mark.parametrize("origin", ["5"])
     def test_snr_table_origin_rejected(self, origin):
         text = TINY_SNR.replace("length = 64\n", f"length = 64\norigin = {origin}\n")
         with pytest.raises(ConfigError, match=r"\[signal\] origin"):
             parse_config_string(text)
 
-    @pytest.mark.parametrize("origin, expected", [("centered", -32), ("-32", -32)])
+    @pytest.mark.parametrize("origin, expected",
+                             [("centered", -32), ("-32", -32), ("-31", -31)])
     def test_snr_table_origin_accepted(self, origin, expected):
         text = TINY_SNR.replace("length = 64\n", f"length = 64\norigin = {origin}\n")
         assert parse_config_string(text).index_origin == expected
+
+    def test_snr_table_runs_at_any_origin(self, tmp_path):
+        # snr-table takes every origin in [-length, 0], like the other kinds
+        text = TINY_SNR.replace("length = 64\n", "length = 64\norigin = -31\n")
+        experiments.run_experiment(parse_config_string(text), tmp_path)
+        assert (tmp_path / "snr_table.csv").exists()
+
+    @pytest.mark.parametrize("window", [1, 24, 128])
+    def test_window_rule_is_lpft_rule(self, window):
+        with pytest.raises(ValueError) as library:
+            _check_window(window, 64)
+        with pytest.raises(ConfigError) as config:
+            parse_config_string(TINY_LPFT.replace("window = 16", f"window = {window}"))
+        assert str(config.value) == f"[lpft] {library.value}"
+
+    @pytest.mark.parametrize("word, value", [
+        ("True", True), ("YES", True), ("1", True), ("on", True),
+        ("false", False), ("No", False), ("0", False), ("OFF", False),
+    ])
+    def test_boolean_words(self, word, value):
+        # per_window = true needs an [lpft] window, which false leaves unread
+        text = (PER_WINDOW_RECOVER.replace("per_window = true", f"per_window = {word}")
+                if value else
+                TINY_RECOVER.replace("count = 24", f"count = 24\nper_window = {word}"))
+        assert parse_config_string(text).per_window is value
 
 
 class TestBundledConfigs:

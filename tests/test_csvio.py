@@ -194,6 +194,21 @@ class TestSpectrogramCsv:
         assert back.dtype == spect.dtype and back.shape == spect.shape
         assert back.tobytes() == spect.tobytes()
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda rows: rows[:2] + rows[3:], r"missing cell \(window 0, bin 2\)"),
+        (lambda rows: rows + rows[5:6], r"repeated cell \(window 1, bin 1\)"),
+        (lambda rows: rows[:1] + [["-1", "0", "1.0", "0.0", "1.0"]] + rows[1:],
+         "negative"),
+    ], ids=["deleted-row", "repeated-row", "negative-index"])
+    def test_every_cell_exactly_once(self, tmp_path, edit, message):
+        path = tmp_path / "spectrogram.csv"
+        csvio.write_spectrogram_csv(path, np.arange(8.0).reshape(2, 4) + 1j)
+        lines = path.read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        path.write_text("\n".join([lines[0]] + [",".join(r) for r in edit(rows)]) + "\n")
+        with pytest.raises(ValueError, match=message):
+            csvio.read_spectrogram_csv(path)
+
 
 class TestAssignmentsCsv:
     def test_round_trip(self, tmp_path, sample_measurements):

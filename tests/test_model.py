@@ -91,6 +91,15 @@ class TestMultiComponentSignal:
         with pytest.raises(ValueError):
             MultiComponentSignal((), 8, index_origin=3)
 
+    def test_accepts_any_origin_in_the_phase_rule(self):
+        np.testing.assert_array_equal(MultiComponentSignal((), 8, -3).indices(),
+                                      np.arange(-3, 5))
+
+    @pytest.mark.parametrize("origin", [1, -9])
+    def test_rejects_origin_outside_the_phase_rule(self, origin):
+        with pytest.raises(ValueError, match="origin"):
+            MultiComponentSignal((), 8, origin)
+
     def test_synthesize_sums_components(self):
         comps = (
             PolyPhaseComponent(1.0, (3.0,)),
