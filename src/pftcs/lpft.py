@@ -27,6 +27,7 @@ from .recovery import (
     ThresholdPolicy,
     _fits,
     _kernel_matrix,
+    _roots,
     _scatter_spectra,
     _sweep_records,
 )
@@ -178,8 +179,8 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
     # positions are strictly increasing, so window b's samples are one run
     first = np.cumsum(counts) - counts
     starts = meas.index_origin + window * np.arange(n_win)
-    offsets = np.arange(window)
-    table = np.exp(2j * np.pi * (np.outer(offsets, offsets) % window) / window)
+    # window b's Fourier atom at bin k samples roots[(offset * k) % W]
+    roots = _roots(window)
     # a stable sort of the negated detections puts each pair's detected
     # bins first, strongest first, ties to the lower bin; no pair fits more
     # than the largest cap of them.  Negated in place and dropped after
@@ -199,16 +200,18 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
     for n in sorted(set(counts.tolist()) - {0}):
         wins = np.flatnonzero(counts == n)
         samples = first[wins, None] + np.arange(n)
-        rows = table[meas.positions[samples] - starts[wins, None]]
+        offsets = meas.positions[samples] - starts[wins, None]
         n_bins = taken[:, wins]
         for k in sorted(set(n_bins.ravel().tolist()) - {0}):
             cand, win = np.nonzero(n_bins == k)
             step = max(1, FIT_STACK_CELLS // (n * k))
             for s in range(0, cand.size, step):
                 c, w = cand[s:s + step], win[s:s + step]
-                # column-major (n, k) atoms, the layout of ``rows[w][:, bins]``,
-                # so that each stacked product rounds as that of one pair does
-                atoms = rows[w[:, None], :, ranked[c, wins[w], :k]].swapaxes(1, 2)
+                # column-major (n, k) atoms, the layout of a single pair's
+                # atoms gathered column by column, so that each stacked
+                # product rounds as that of one pair does
+                turns = ranked[c, wins[w], :k, None] * offsets[w, None, :]
+                atoms = roots[turns % window].swapaxes(1, 2)
                 passed, fitted, _, ratio = _fits(atoms, weighted[samples[w], cands[c, None]])
                 c, b = c[passed], wins[w[passed]]
                 ratios[c, b] = ratio
@@ -221,6 +224,7 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
     assignments = []
     unassigned = []
     reconstructed = np.zeros(length, dtype=np.complex128)
+    span = np.arange(window)
     for b, j in enumerate(best.tolist()):
         start = int(starts[b])
         if ratios[j, b] == np.inf:
@@ -233,6 +237,9 @@ def lpft_recover(meas: MeasurementSet, grid: ParameterGrid, window: int,
         assignments.append(WindowAssignment(b, start, g, params, tuple(chosen.tolist()),
                                             tuple(complex(a) for a in fitted),
                                             float(ratios[j, b])))
-        inv = np.conj(kernel_values_at(params, start + offsets, length))
-        reconstructed[b * window:(b + 1) * window] = inv * (table[:, chosen] @ fitted)
+        inv = np.conj(kernel_values_at(params, start + span, length))
+        # column-major (W, k) atoms, as for the fits: the layout fixes how
+        # the product rounds
+        atoms = roots[np.outer(chosen, span) % window].T
+        reconstructed[b * window:(b + 1) * window] = inv * (atoms @ fitted)
     return LpftRecoveryResult(tuple(assignments), reconstructed, tuple(unassigned), swept)

@@ -328,12 +328,22 @@ def _kernel_matrix(meas: MeasurementSet, grid: ParameterGrid) -> np.ndarray:
     return np.exp(-2j * np.pi * cycles)
 
 
-def _atoms(meas: MeasurementSet, kernels: np.ndarray, bins) -> np.ndarray:
+def _roots(n: int) -> np.ndarray:
+    """The ``n`` roots of unity ``exp(2j*pi*t/n)``, ``t = 0 .. n-1``.
+
+    Every Fourier atom gathers its samples from them by ``(m * k) % n``,
+    which gives the bits of the direct ``exp(2j*pi*((m*k) % n)/n)``.
+    """
+    return np.exp(2j * np.pi * np.arange(n) / n)
+
+
+def _atoms(meas: MeasurementSet, kernels: np.ndarray, bins, roots=None) -> np.ndarray:
     """(N, K) atoms ``conj(kernels[:, i]) * exp(2j*pi*bins[i]*m/M)`` at the
     measurement positions ``m``: the unit components the kernels demodulate
-    into those bins."""
-    turns = np.outer(meas.positions, bins) % meas.signal_length
-    return np.conj(kernels) * np.exp(2j * np.pi * turns / meas.signal_length)
+    into those bins; one (N,) kernel and one bin give the one (N,) atom.
+    ``roots`` is ``_roots(M)``, built here when omitted."""
+    roots = _roots(meas.signal_length) if roots is None else roots
+    return np.conj(kernels) * roots[np.multiply.outer(meas.positions, bins) % meas.signal_length]
 
 
 def _grid_estimates(meas: MeasurementSet, kernels: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -357,29 +367,135 @@ def _sweep_records(grid: ParameterGrid, mags: np.ndarray, thresholds) -> SweepRe
     return SweepResult(grid, scores, np.where(scores > 0, peaks, -1))
 
 
+def _rank_rule(n: int, k: int, gram, bound=math.inf):
+    """Whether systems of ``n`` measurements and ``k`` atoms pass the rank
+    rule of every amplitude fit: a bool, or a mask over a stack.
+
+    A system fails when it has fewer measurements than atoms (N < K), or
+    when its Gram matrix has a condition number ``lam_max / lam_min`` that
+    exceeds ``COND_LIMIT`` or a least eigenvalue that is not positive.
+    ``gram`` is a function that returns the (..., K, K) Gram matrices.
+    ``bound`` is an upper bound on the condition numbers that the caller
+    may know; at most half of ``COND_LIMIT``, it passes the systems without
+    their eigenvalues, which rounding moves by far less than that margin,
+    and ``gram`` is not called.
+    """
+    if n < k:
+        return False
+    if bound <= COND_LIMIT / 2:
+        return True
+    lam = np.linalg.eigvalsh(gram())  # ascending
+    return (lam[..., 0] > 0.0) & (lam[..., -1] <= COND_LIMIT * lam[..., 0])
+
+
 def _fits(atoms: np.ndarray, values: np.ndarray):
     """Least-squares fits ``values[c] ~ atoms[c] @ x`` of a (C, N, K) stack,
-    by the normal equations, under the rank rule of every amplitude fit.
+    by the normal equations, under :func:`_rank_rule`.
 
-    A system fails the rule when it has fewer measurements than atoms
-    (N < K), or when its Gram matrix has a condition number that is not
-    finite or exceeds ``COND_LIMIT``.  Returns the (C,) mask of systems that
-    pass and, for those C' systems, their (C', K) amplitudes, (C', N)
-    residuals and (C',) relative residual energies.
+    Returns the (C,) mask of systems that pass and, for those C' systems,
+    their (C', K) amplitudes, (C', N) residuals and (C',) relative residual
+    energies.
     """
-    n, k = atoms.shape[-2:]
     adjoint = atoms.conj().swapaxes(-1, -2)
     gram, rhs = adjoint @ atoms, adjoint @ values[..., None]
-    if n < k:
-        passed = np.zeros(len(atoms), dtype=bool)
-    else:
-        cond = np.linalg.cond(gram)
-        passed = np.isfinite(cond) & (cond <= COND_LIMIT)
+    passed = np.broadcast_to(_rank_rule(*atoms.shape[-2:], lambda: gram), gram.shape[:-2])
     if not passed.all():  # the masked copies cost more than a small fit
         atoms, values, gram, rhs = atoms[passed], values[passed], gram[passed], rhs[passed]
     amps = np.linalg.solve(gram, rhs)[..., 0]
     left = values - (atoms @ amps[..., None])[..., 0]
     return passed, amps, left, _residual_ratio(left, values)
+
+
+class _GrownFit:
+    """Least-squares fit of ``y`` to a support that grows one atom at a time.
+
+    Keeps a QR factor of the support's ``size`` atoms ``A = V R``, grown by
+    classical Gram-Schmidt with one reorthogonalization: V (N, size) has
+    orthogonal columns of energies ``d``, and R (size, size) is unit upper
+    triangular.  The columns of V are left unnormalized, so a first atom
+    enters as itself.  With it come the projections ``c`` of ``y`` on V and
+    the explicit residual of ``y`` outside V's span.  The Gram matrix of
+    the atoms is ``G = R^H diag(d) R``, by which :func:`_rank_rule` judges
+    each admission.
+
+    ``trace(G) * trace(G^-1)`` bounds the condition number ``lam_max /
+    lam_min`` from above, and both traces grow by one term per atom:
+    ``|a|^2``, and ``(|R^-1 r|^2 + 1) / |v|^2`` for the atom's column
+    ``r`` of R above the diagonal and its orthogonal part ``v``; the rule
+    takes the bound with the Gram.  ``R^-1`` is kept for it.
+
+    The arrays hold room for more atoms than the support has, and double
+    when it is full, so that an admission writes one column of each.
+    ``ratio`` is the residual's energy relative to ``y``'s, both divided
+    by the ``scale`` of :func:`_ratio_scale` (whose ``energy`` is the
+    latter) as in :func:`_residual_ratio`, so that it scales exactly with
+    ``y``.
+    """
+
+    def __init__(self, y: np.ndarray, scale, energy):
+        self.size = 0
+        self.basis = np.zeros((y.size, 0), dtype=np.complex128)
+        self.d = np.zeros(0)
+        self.c = np.zeros(0, dtype=np.complex128)
+        self.tri = self.inverse = np.zeros((0, 0), dtype=np.complex128)
+        self.traces = (0.0, 0.0)  # trace(G), trace(G^-1)
+        self.residual = y
+        self.scale, self.energy = scale, energy
+        # not the energy: squared, |y| below about 1e-162 underflows to 0
+        self.ratio = 1.0 if y.any() else 0.0
+
+    def _grow(self):
+        """Double the room of every array (at least 4 atoms)."""
+        k = self.size
+        room = max(4, 2 * k)
+        basis = np.zeros((self.basis.shape[0], room), dtype=np.complex128)
+        basis[:, :k] = self.basis
+        d, c = np.zeros(room), np.zeros(room, dtype=np.complex128)
+        d[:k], c[:k] = self.d, self.c
+        tri, inverse = np.eye(room, dtype=np.complex128), np.eye(room, dtype=np.complex128)
+        tri[:k, :k], inverse[:k, :k] = self.tri, self.inverse
+        self.basis, self.d, self.c, self.tri, self.inverse = basis, d, c, tri, inverse
+
+    def admit(self, atom: np.ndarray) -> bool:
+        """Append ``atom`` to the support, unless the grown system fails the
+        rank rule; returns whether it was appended."""
+        k = self.size
+        if k == self.d.size:
+            self._grow()
+        basis, d = self.basis[:, :k], self.d[:k]
+        adjoint = basis.conj().T
+        proj = (adjoint @ atom) / d
+        left = atom - basis @ proj
+        again = (adjoint @ left) / d
+        left -= basis @ again
+        column = proj + again
+        rest = np.vdot(left, left).real
+        solved = self.inverse[:k, :k] @ column
+        # an atom in the span of the basis leaves rest 0 and no inverse
+        inverse_term = (np.vdot(solved, solved).real + 1.0) / rest if rest > 0.0 else math.inf
+        traces = (self.traces[0] + np.vdot(atom, atom).real, self.traces[1] + inverse_term)
+        # column k beyond the support is scratch until the atom is admitted
+        self.tri[:k, k], self.d[k] = column, rest
+        tri, d = self.tri[:k + 1, :k + 1], self.d[:k + 1]
+        if not _rank_rule(atom.size, k + 1, lambda: tri.conj().T @ (d[:, None] * tri),
+                          traces[0] * traces[1]):
+            return False
+        np.negative(solved, out=self.inverse[:k, k])
+        self.basis[:, k] = left
+        # the residual is orthogonal to the basis, so this is left^H y / |left|^2
+        self.c[k] = coeff = np.vdot(left, self.residual) / rest
+        self.residual = self.residual - coeff * left
+        scaled = self.residual / self.scale
+        self.ratio = float(np.vdot(scaled, scaled).real / self.energy)
+        self.traces, self.size = traces, k + 1
+        return True
+
+    def amplitudes(self) -> np.ndarray:
+        """The support's amplitudes, from ``R x = c``."""
+        k = self.size
+        if not k:
+            return self.c[:0]
+        return np.linalg.solve(self.tri[:k, :k], self.c[:k])
 
 
 def amplitude_correction(meas: MeasurementSet, detected) -> np.ndarray:
@@ -423,6 +539,15 @@ def _energy(x):
     return np.sum(np.abs(x) ** 2, axis=-1)
 
 
+def _ratio_scale(y):
+    """``(scale, energy)`` by which :func:`_residual_ratio` measures
+    residuals of ``y``, a vector or a stack of rows: ``max|y|`` of every
+    row, raised to ``MIN_SCALE``, and the energy of ``y / scale``, raised to
+    ``MIN_SCALE``."""
+    scale = np.maximum(np.max(np.abs(y), axis=-1, keepdims=True), MIN_SCALE)
+    return scale, np.maximum(_energy(y / scale), MIN_SCALE)
+
+
 def _residual_ratio(left, y):
     """``|left|^2 / |y|^2`` of every row of (C, N) stacks, with both rows
     first divided by the row's ``max|y|``: a (C,) array.
@@ -435,8 +560,8 @@ def _residual_ratio(left, y):
     nonzero row then has a scaled energy of at least 2^-104, so raising
     the energies to ``MIN_SCALE`` changes only a zero row, whose ratio is 0.
     """
-    scale = np.maximum(np.max(np.abs(y), axis=-1, keepdims=True), MIN_SCALE)
-    return _energy(left / scale) / np.maximum(_energy(y / scale), MIN_SCALE)
+    scale, energy = _ratio_scale(y)
+    return _energy(left / scale) / energy
 
 
 def _best_pair(meas: MeasurementSet, kernels: np.ndarray, mags: np.ndarray):
@@ -484,13 +609,13 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     """Full pipeline: sweep, detect, joint amplitude correction, reconstruct.
 
     Component discovery is a growth-only pursuit: each round estimates the
-    current measurement residual at all grid points, extends the support,
-    re-solves the joint least squares, and subtracts the fit; a pass ends
-    when the residual vanishes, the support is full, or a round admits
-    nothing.  Each admission is the argmax of the round's open cells: the
-    untried cells at or above the policy threshold, with ties going to the
-    lower grid point, then the lower bin.  A candidate whose fit fails the
-    rank rule of :func:`_fits` is skipped, and the next argmax is taken;
+    current measurement residual at all grid points, extends the support
+    and its joint least-squares fit (:class:`_GrownFit`), and subtracts the
+    fit; a pass ends when the residual vanishes, the support is full, or a
+    round admits nothing.  Each admission is the argmax of the round's open
+    cells: the untried cells at or above the policy threshold, with ties
+    going to the lower grid point, then the lower bin.  A candidate whose
+    fit fails :func:`_rank_rule` is skipped, and the next argmax is taken;
     this keeps near-duplicate atoms, which are strongly correlated over few
     measurements, out of the support.  Threshold mode admits open cells
     until none is left.  Exact mode is orthogonal matching pursuit: its
@@ -511,86 +636,81 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     exact = cfg.pursuit == "exact"
     m_len, n_meas = meas.signal_length, meas.count
     kernels = _kernel_matrix(meas, grid)
+    roots = _roots(m_len)
     y = meas.values
-    # not the energy: squared, |y| below about 1e-162 underflows to 0
-    nonzero = bool(np.any(y))
+    scale, y_energy = _ratio_scale(y)
     cap = cfg.max_components if cfg.max_components is not None else max(1, min(m_len, n_meas - 1))
     first = np.abs(_grid_estimates(meas, kernels, y))
     first_thresholds = policy.column_thresholds(first)
     swept = _sweep_records(grid, first, first_thresholds)
 
-    def refit(entries):
-        """``(entries, amps, residual, ratio)`` of the joint fit of ``y`` to
-        the atoms of ``entries``, or None when it fails the rank rule."""
-        cols, bins, _ = zip(*entries)
-        passed, amps, left, ratio = _fits(_atoms(meas, kernels[:, cols], bins)[None], y[None])
-        return (entries, amps[0], left[0], ratio[0]) if passed[0] else None
-
     def pursue(seed=()):
-        """One growth-only pass; returns (support, amps, residual, ratio).
+        """One growth-only pass; returns its support and its :class:`_GrownFit`.
 
-        Each admission re-solves the joint least squares over a superset of
-        the previous support, so the residual never grows and the last fit
-        is the pass's best.
+        Each admission extends the least squares over a superset of the
+        previous support, so the residual never grows and the last fit is
+        the pass's best.
         """
         support = []      # [(point_index, bin, raw_magnitude)]
         tried = np.zeros(first.shape, dtype=bool)  # cells never considered twice
-        amps = np.zeros(0, dtype=np.complex128)
-        residual = y.copy()
-        residual_ratio = 1.0 if nonzero else 0.0
+        fit = _GrownFit(y, scale, y_energy)
+
+        def admit(pi, b, mag):
+            tried[pi, b] = True
+            if not fit.admit(_atoms(meas, kernels[:, pi], b, roots)):
+                return False
+            support.append((pi, b, mag))
+            return True
 
         for pi, b, mag in seed:
-            tried[pi, b] = True
-            extended = refit(support + [(pi, b, mag)])
-            if extended is not None:
-                support, amps, residual, residual_ratio = extended
+            admit(pi, b, mag)
 
-        while residual_ratio > RESIDUAL_TOL and len(support) < cap:
+        while fit.ratio > RESIDUAL_TOL and len(support) < cap:
             if support:
-                mags = np.abs(_grid_estimates(meas, kernels, residual))
-                thresholds = 0.0 if exact else policy.column_thresholds(mags)[:, None]
+                mags = np.abs(_grid_estimates(meas, kernels, fit.residual))
             else:  # the residual is still y
-                mags, thresholds = first, 0.0 if exact else first_thresholds[:, None]
-            open_cells = np.where((mags >= thresholds) & ~tried, mags, 0.0)
+                mags = first
+            open_cells = np.where(tried, 0.0, mags)
+            if not exact:  # exact mode's threshold is 0
+                thresholds = policy.column_thresholds(mags) if support else first_thresholds
+                open_cells[mags < thresholds[:, None]] = 0.0
             admitted = 0
             limit = 1 if exact else cap - len(support)
-            while admitted < limit and residual_ratio > RESIDUAL_TOL:
+            while admitted < limit and fit.ratio > RESIDUAL_TOL:
                 # the first maximum in row-major order breaks ties
                 pi, b = divmod(int(np.argmax(open_cells)), m_len)
                 if not open_cells[pi, b] > 0.0:
                     break
                 open_cells[pi, b] = 0.0
-                tried[pi, b] = True
-                extended = refit(support + [(pi, b, float(mags[pi, b]))])
-                if extended is not None:
-                    support, amps, residual, residual_ratio = extended
-                    admitted += 1
+                admitted += admit(pi, b, float(mags[pi, b]))
             if not admitted:
                 break
-        return support, amps, residual, residual_ratio
+        return support, fit
 
-    best = pursue()
-    if exact and best[3] > RESIDUAL_TOL and cap >= 3:
+    support, fit = pursue()
+    if exact and fit.ratio > RESIDUAL_TOL and cap >= 3:
         # seed with the best joint two-atom fit instead of the single
         # strongest cell, which rescues components of similar size that all
         # sit just below the sparse estimate's clutter maximum
         pair = _best_pair(meas, kernels, first)
         if pair is not None:
-            best = min(best, pursue(seed=pair), key=lambda fit: fit[3])
-    support, amps, _, residual_ratio = best
+            support, fit = min((support, fit), pursue(seed=pair), key=lambda run: run[1].ratio)
+    amps, residual_ratio = fit.amplitudes(), fit.ratio
 
     if support:
-        scale = float(np.max(np.abs(amps)))
-        kept = [entry for entry, amp in zip(support, amps) if abs(amp) > PRUNE_RATIO * scale]
+        top = float(np.max(np.abs(amps)))
+        kept = [entry for entry, amp in zip(support, amps) if abs(amp) > PRUNE_RATIO * top]
         if not kept:  # every amplitude is 0
             support = []
         elif len(kept) < len(support):
             # a principal sub-Gram is no worse conditioned than the Gram in
             # exact arithmetic, so only rounding at the COND_LIMIT edge can
             # reject this refit; the unpruned fit then stands
-            pruned = refit(kept)
-            if pruned is not None:
-                support, amps, _, residual_ratio = pruned
+            cols, bins, _ = zip(*kept)
+            passed, fitted, _, ratios = _fits(_atoms(meas, kernels[:, cols], bins, roots)[None],
+                                              y[None])
+            if passed[0]:
+                support, amps, residual_ratio = kept, fitted[0], float(ratios[0])
     if residual_ratio > 1.0:  # a fit worse than none: no bits left to fit
         support, residual_ratio = [], 1.0
 

@@ -1,6 +1,7 @@
 """Noise and Monte-Carlo analysis tests."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,10 @@ from pftcs import (
     theoretical_snr_out,
 )
 from pftcs.analysis import _draw_components, _trial_rng, _true_support
+from pftcs.csvio import write_phase_transition_csv
+
+# the 20-trial, seed-17 map of the bundled ex5 config
+PINNED_EX5_MAP = Path(__file__).parent / "data" / "ex5_t20_s17.csv"
 
 
 class TestSnrDb:
@@ -208,6 +213,14 @@ class TestPhaseTransition:
         assert phase_transition((32,), (4,), **kwargs).k_values == (32,)
         with pytest.raises(ValueError, match="components: 33 "):
             phase_transition((33,), (4,), **kwargs)
+
+    def test_pinned_ex5_map(self, tmp_path):
+        # every cell is a count of exact-pursuit successes, so a change in any
+        # admission, restart or prune decision on these trials moves a cell
+        grid = phase_transition((2, 4, 8, 16), (4, 8, 12, 16, 24, 32, 48, 64, 96),
+                                trials=20, seed=17)
+        write_phase_transition_csv(tmp_path / "map.csv", grid)
+        assert (tmp_path / "map.csv").read_bytes() == PINNED_EX5_MAP.read_bytes()
 
     def test_fraction_accessor(self):
         grid = phase_transition((1,), (4, 8), trials=2, seed=2, length=32,

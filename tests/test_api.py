@@ -1,4 +1,4 @@
-"""Public API: every exported name resolves; one least-squares routine."""
+"""Public API: every exported name resolves; one rank rule, two fit routines."""
 
 import ast
 import importlib
@@ -17,15 +17,19 @@ def test_public_names_resolve():
 
 
 def test_linear_solves_and_rank_rule_only_in_fits():
-    # every amplitude fit goes through recovery._fits, which holds the one
-    # solve and the one condition-number rule; a second one would split them
+    # the condition-number rule lives in recovery._rank_rule alone; the
+    # stacked fits (recovery._fits) and the pursuit's grown fit
+    # (recovery._GrownFit) each hold one solve and call it; a second rule
+    # or solver would split them
     sites = []
     for path in sorted(Path(pftcs.__file__).parent.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
                     sites.append((path.stem, getattr(top, "name", None), "import"))
-                elif (isinstance(node, ast.Attribute) and node.attr in ("solve", "cond")
+                elif (isinstance(node, ast.Attribute)
+                      and node.attr in ("solve", "cond", "eigvalsh", "eigh", "svd", "lstsq", "qr")
                       and ast.unparse(node.value).endswith("linalg")):
                     sites.append((path.stem, getattr(top, "name", None), node.attr))
-    assert sorted(sites) == [("recovery", "_fits", "cond"), ("recovery", "_fits", "solve")]
+    assert sorted(sites) == [("recovery", "_GrownFit", "solve"), ("recovery", "_fits", "solve"),
+                             ("recovery", "_rank_rule", "eigvalsh")]

@@ -1,5 +1,6 @@
 """Windowed transform tests: degeneration, masking, piecewise recovery."""
 
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -20,6 +21,7 @@ from pftcs import (
     lpft_recover,
     lpft_sweep,
     pft,
+    select_measurements,
     synthesize_components,
 )
 from pftcs.config import parse_config
@@ -585,3 +587,20 @@ class TestLpftRecover:
         grid = ParameterGrid.single(2, (0.0, 8.0))
         result = lpft_recover(meas, grid, 32, ThresholdPolicy.relative(0.9))
         assert result.assignments[0].grid_index == 0
+
+    def test_memory_grows_with_the_samples_not_the_window(self):
+        # a window of the full length 2048 holding 64 samples: atoms gathered
+        # from one length-W root vector cost pairs x samples x bins cells,
+        # where a W x W table of atom values would take 64 MiB
+        comp = PolyPhaseComponent(1.0, (300.0, -16.0))
+        meas = MeasurementSet.from_samples(synthesize_components([comp], 2048),
+                                           select_measurements(2048, 64, 0, 5), 2048)
+        grid = ParameterGrid.single(2, (0.0, 16.0, 32.0))
+        tracemalloc.start()
+        try:
+            result = lpft_recover(meas, grid, 2048, ThresholdPolicy.relative(0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.assignments[0].grid_index == 1
+        assert peak < 8 * 2**20

@@ -33,6 +33,7 @@ from pftcs import phase_cycles, recovery
 from pftcs.model import FIT_GAIN
 from pftcs.csvio import write_sweep_csv
 from pftcs.recovery import (
+    _GrownFit,
     _atoms,
     _best_pair,
     _column_median,
@@ -40,6 +41,7 @@ from pftcs.recovery import (
     _kernel_coeffs,
     _kernel_matrix,
     _ranked_hits,
+    _ratio_scale,
     _residual_ratio,
     _scatter_spectra,
     _sweep_records,
@@ -768,22 +770,19 @@ class TestPursuitRounds:
         samples = synthesize_components(comps, length)
         meas = MeasurementSet.from_samples(samples, select_measurements(length, 24, seed=3),
                                            length)
-        fits, estimate = recovery._fits, recovery._grid_estimates
+        rule, estimate = recovery._rank_rule, recovery._grid_estimates
         calls = 0
 
-        def one_atom_only(atoms, values):
+        def one_atom_only(n, k, gram, bound=math.inf):
             # every second atom fails the rank rule, so each pass admits one
-            passed, amps, left, ratios = fits(atoms, values)
-            if atoms.shape[-1] >= 2:
-                return np.zeros_like(passed), amps[:0], left[:0], ratios[:0]
-            return passed, amps, left, ratios
+            return False if k >= 2 else rule(n, k, gram, bound)
 
         def counted(*args):
             nonlocal calls
             calls += 1
             return estimate(*args)
 
-        monkeypatch.setattr(recovery, "_fits", one_atom_only)
+        monkeypatch.setattr(recovery, "_rank_rule", one_atom_only)
         monkeypatch.setattr(recovery, "_grid_estimates", counted)
         result = recover(meas, ParameterGrid.single(2, (-16.0, 0.0, 16.0)),
                          ThresholdPolicy.relative(0.3), RecoverConfig(pursuit=pursuit))
@@ -839,23 +838,25 @@ class TestPruneRefitRejected:
         args = (meas, ParameterGrid.single(2, PT_RATES), ThresholdPolicy.relative(0.5),
                 RecoverConfig(max_components=5))
         assert len(recover(*args).components) == 2  # the prune removes atoms here
-        fits = recovery._fits
-        widest = []  # (atom count, ratio) of the widest fit that passed
+        monkeypatch.setattr(recovery, "PRUNE_RATIO", 0.0)
+        unpruned = recover(*args)
+        monkeypatch.undo()
+        rule = recovery._rank_rule
+        widest = []  # atom count of the widest system that passed
 
-        def reject_narrower(atoms, values):
-            passed, amps, left, ratios = fits(atoms, values)
-            k = atoms.shape[-1]
-            if widest and k < widest[0][0]:
+        def reject_narrower(n, k, gram, bound=math.inf):
+            if widest and k < widest[0]:
                 # threshold pursuit only grows its support: this is the prune
-                return np.zeros_like(passed), amps[:0], left[:0], ratios[:0]
-            if passed[0]:
-                widest[:] = [(k, ratios[0])]
-            return passed, amps, left, ratios
+                return False
+            passed = rule(n, k, gram, bound)
+            if np.all(passed):
+                widest[:] = [k]
+            return passed
 
-        monkeypatch.setattr(recovery, "_fits", reject_narrower)
+        monkeypatch.setattr(recovery, "_rank_rule", reject_narrower)
         result = recover(*args)
-        assert len(result.components) == widest[0][0] == 4
-        assert result.measurement_residual_ratio == widest[0][1]
+        assert len(result.components) == widest[0] == len(unpruned.components) == 4
+        assert result.measurement_residual_ratio == unpruned.measurement_residual_ratio
 
 
 class TestFits:
@@ -896,6 +897,104 @@ class TestFits:
         meas = MeasurementSet(np.arange(4), np.zeros(4, dtype=np.complex128), 8)
         detected = [DetectedComponent(KernelParams(), b, 1.0) for b in (1, 2)]
         assert not amplitude_correction(meas, detected).any()
+
+
+@st.composite
+def grown_cases(draw):
+    """Random measurements of a length-32 or length-64 signal and a random
+    support of distinct (grid point, bin) cells on the ``SCALE_RATES`` grid."""
+    length = draw(st.sampled_from([32, 64]))
+    count = draw(st.integers(4, length))
+    positions = select_measurements(length, count, 0, draw(st.integers(0, 2**32 - 1)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    meas = MeasurementSet(positions, rng.normal(size=count) + 1j * rng.normal(size=count),
+                          length)
+    cells = draw(st.lists(st.tuples(st.integers(0, len(SCALE_RATES) - 1),
+                                    st.integers(0, length - 1)),
+                          min_size=1, max_size=count, unique=True))
+    return meas, cells
+
+
+class TestGrownFit:
+    """The pursuit's fit, grown one atom at a time, is the least-squares fit
+    of the atoms it admits, and it admits only what the rank rule passes."""
+
+    @staticmethod
+    def grow(meas, cells):
+        kernels = _kernel_matrix(meas, ParameterGrid.single(2, SCALE_RATES))
+        fit = _GrownFit(meas.values, *_ratio_scale(meas.values))
+        admitted = [(g, b) for g, b in cells
+                    if fit.admit(_atoms(meas, kernels[:, g], b))]
+        cols, bins = zip(*admitted)
+        return fit, _atoms(meas, kernels[:, cols], bins)
+
+    @settings(max_examples=150, deadline=None)
+    @given(grown_cases())
+    def test_matches_lstsq(self, case):
+        meas, cells = case
+        y = meas.values
+        fit, atoms = self.grow(meas, cells)
+        assert atoms.shape[1] <= meas.count
+        oracle, *_ = np.linalg.lstsq(atoms, y, rcond=None)
+        scale = np.abs(oracle).max()
+        np.testing.assert_allclose(fit.amplitudes(), oracle, rtol=0, atol=1e-10 * scale)
+        y_norm = np.linalg.norm(y)
+        np.testing.assert_allclose(fit.residual, y - atoms @ oracle, rtol=0, atol=1e-10 * y_norm)
+        # unit-modulus atoms have norm sqrt(N)
+        assert np.abs(atoms.conj().T @ fit.residual).max() <= 1e-10 * np.sqrt(meas.count) * y_norm
+        assert fit.ratio == pytest.approx(_residual_ratio(fit.residual[None], y[None])[0],
+                                          rel=1e-12, abs=1e-300)
+        # the traces bound the condition number of the admitted atoms' Gram,
+        # which the rank rule keeps within COND_LIMIT up to rounding
+        lam = np.linalg.eigvalsh(atoms.conj().T @ atoms)
+        assert lam[-1] <= fit.traces[0] * fit.traces[1] * lam[0] * (1 + 1e-9)
+        assert lam[-1] <= 2 * recovery.COND_LIMIT * lam[0]
+
+    def test_bound_decides_without_the_gram(self):
+        def unformed():
+            raise AssertionError("the Gram was formed")
+
+        limit = recovery.COND_LIMIT
+        assert recovery._rank_rule(4, 2, unformed, limit / 2) is True
+        assert recovery._rank_rule(1, 2, unformed, 1.0) is False  # N < K comes first
+        gram = np.diag([1.0, 2.0 / limit])  # condition number limit / 2
+        assert recovery._rank_rule(4, 2, lambda: gram, limit)
+        assert not recovery._rank_rule(4, 2, lambda: np.diag([1.0, 0.5 / limit]), limit / 2 + 1)
+
+    def test_rule_rejects_duplicate_and_near_duplicate_atoms(self):
+        rng = np.random.default_rng(3)
+        atoms = np.exp(2j * np.pi * rng.random((16, 3)))
+        y = rng.normal(size=16) + 1j * rng.normal(size=16)
+        fit = _GrownFit(y, *_ratio_scale(y))
+        assert fit.admit(atoms[:, 0])
+        assert not fit.admit(atoms[:, 0].copy())
+        # a Gram condition number near 1e18, above COND_LIMIT
+        assert not fit.admit(atoms[:, 0] * np.exp(1e-9j * atoms[:, 1].real))
+        assert fit.size == 1
+        assert fit.admit(atoms[:, 2])
+        oracle, *_ = np.linalg.lstsq(atoms[:, [0, 2]], y, rcond=None)
+        np.testing.assert_allclose(fit.amplitudes(), oracle, rtol=1e-12)
+
+    def test_rejected_candidate_yields_to_next_argmax(self, monkeypatch):
+        # rates 0 and 1e-9 give nearly equal atoms at bin 5, so the second of
+        # them fails the rule, and the round admits the next cell instead
+        length = 64
+        comps = [PolyPhaseComponent(1.0, (5.0, 0.0)), PolyPhaseComponent(0.8, (20.0, -16.0))]
+        meas = MeasurementSet.from_samples(synthesize_components(comps, length),
+                                           select_measurements(length, 24, 0, 3), length)
+        rule, verdicts = recovery._rank_rule, []
+
+        def recorded(n, k, gram, bound=math.inf):
+            passed = rule(n, k, gram, bound)
+            verdicts.append((k, bool(np.all(passed))))
+            return passed
+
+        monkeypatch.setattr(recovery, "_rank_rule", recorded)
+        grid = ParameterGrid.single(2, (0.0, 1e-9, 16.0))
+        result = recover(meas, grid, ThresholdPolicy.relative(0.3))
+        assert verdicts == [(1, True), (2, False), (2, True)]
+        assert {c.freq_bin for c in result.components} == {5, 20}
+        assert result.measurement_residual_ratio < 1e-20
 
 
 @st.composite
