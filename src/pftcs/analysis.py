@@ -36,6 +36,7 @@ __all__ = [
     "snr_db",
     "theoretical_snr_out",
     "SnrReport",
+    "snr_table_cells",
     "snr_experiment",
     "PhaseTransitionGrid",
     "phase_transition_grid",
@@ -119,6 +120,25 @@ class SnrReport:
     per_trial_db: tuple
 
 
+def snr_table_cells(snr_in_db, counts, trials: int, length: int) -> tuple:
+    """Check an SNR table's arguments and list its ``(snr_in_db, count)``
+    cells, ``snr_in_db`` major.  Each ``ValueError`` message starts with the
+    key at fault, as ``[snr_table]`` spells it."""
+    for key, values in (("snr_in_db", snr_in_db), ("counts", counts)):
+        if not values:
+            raise ValueError(f"{key}: needs at least one value")
+    for n in counts:
+        if not 1 <= n <= length:
+            raise ValueError(f"counts: measurement count {n} is below 1 "
+                             f"or exceeds signal length {length}")
+    for snr in snr_in_db:
+        if not math.isfinite(snr):
+            raise ValueError(f"snr_in_db: {snr} is not finite")
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    return tuple((s, n) for s in snr_in_db for n in counts)
+
+
 def snr_experiment(signal: MultiComponentSignal, snr_in_db: float,
                    n_measurements: int, grid: ParameterGrid,
                    policy: ThresholdPolicy, trials: int, seed,
@@ -131,8 +151,7 @@ def snr_experiment(signal: MultiComponentSignal, snr_in_db: float,
     Trial ``t`` uses the PCG64 stream seeded by
     ``(seed..., n_measurements, t)``, mask drawn before noise.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
+    snr_table_cells((snr_in_db,), (n_measurements,), trials, signal.length)
     clean = synthesize(signal)
     truth = _true_support(signal)
     spec = NoiseSpec("complex-gaussian", target_snr_db=snr_in_db)

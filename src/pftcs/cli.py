@@ -9,6 +9,7 @@ computation failures, 4 I/O failures.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -88,14 +89,10 @@ def _load(args):
 
 
 def _with_seed(config, seed):
-    """``config`` with every seed (sampling, noise, trials) set to ``seed``.
-
-    ``None`` leaves the config unchanged.
-    """
+    """``config`` with its seed and its noise seed set to ``seed``, unless None."""
     if seed is None:
         return config
-    return replace(config, seed=seed, snr_seed=seed, pt_seed=seed,
-                   noise=replace(config.noise, seed=seed))
+    return replace(config, seed=seed, noise=replace(config.noise, seed=seed))
 
 
 def _check_kind(command: str, kind: str):
@@ -107,8 +104,6 @@ def _check_kind(command: str, kind: str):
 
 
 def _run_stage(args, config) -> list:
-    import os
-
     os.makedirs(args.out, exist_ok=True)
     clean = synthesize_config_signal(config)
     lines = []

@@ -13,9 +13,9 @@ import configparser
 import contextlib
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from .analysis import phase_transition_grid
+from .analysis import phase_transition_grid, snr_table_cells
 from .lpft import _check_window
 from .model import NoiseSpec, PolyPhaseComponent, check_index_origin
 from .recovery import ParameterGrid, RecoverConfig, ThresholdPolicy, _check_estimate_cells
@@ -43,13 +43,25 @@ class Piece:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One parsed experiment.  Fields, by the kinds that read them:
+
+    - every kind: ``kind``, ``label``, ``signal_length``, ``grid`` (for
+      phase-transition, its rate grid with the default rates resolved) and
+      ``seed`` (of ``[sampling]``, ``[snr_table]`` or ``[phase_transition]``);
+    - sweep-recover, lpft-recover and snr-table: ``index_origin``,
+      ``components``, ``policy``, and ``recover`` (not lpft-recover);
+    - sweep-recover and lpft-recover: ``pieces``, ``noise``, ``per_window``,
+      ``sampling_count`` (per window under ``per_window``) and ``window``;
+    - snr-table and phase-transition: ``counts`` of measurements, ``trials``;
+    - snr-table: ``snr_in_db``; phase-transition: ``component_counts``.
+    """
+
     kind: str
     label: str = ""
     signal_length: int | None = None
     index_origin: int = 0
     components: tuple = ()
     pieces: tuple = ()
-    # measurements per window under per_window, else in total
     sampling_count: int | None = None
     per_window: bool = False
     seed: int = 0
@@ -59,15 +71,9 @@ class ExperimentConfig:
     recover: RecoverConfig = field(default_factory=RecoverConfig)
     window: int | None = None
     snr_in_db: tuple = ()
-    snr_counts: tuple = ()
-    snr_trials: int = 0
-    snr_seed: int = 0
-    pt_length: int = 128
-    pt_components: tuple = ()
-    pt_counts: tuple = ()
-    pt_trials: int = 0
-    pt_seed: int = 0
-    pt_rates: tuple | None = None
+    counts: tuple = ()
+    trials: int = 0
+    component_counts: tuple = ()
 
 
 def _boolean(raw):
@@ -284,18 +290,14 @@ def _read(sections) -> ExperimentConfig:
     if kind == "phase-transition":
         pt = _require(sections, "phase_transition")
         config = ExperimentConfig(
-            kind=kind, label=label,
-            pt_length=pt.get("length", int, default=128),
-            pt_components=pt.get_list("components", int, required=True),
-            pt_counts=pt.get_list("counts", int, required=True),
-            pt_trials=pt.get("trials", int, required=True),
-            pt_seed=pt.get("seed", int, default=0),
-            pt_rates=pt.get_list("rates", float),
-        )
+            kind=kind, label=label, signal_length=pt.get("length", int, default=128),
+            component_counts=pt.get_list("components", int, required=True),
+            counts=pt.get_list("counts", int, required=True),
+            trials=pt.get("trials", int, required=True), seed=pt.get("seed", int, default=0))
         with pt.checked():
-            phase_transition_grid(config.pt_components, config.pt_counts, config.pt_trials,
-                                  config.pt_length, config.pt_rates)
-        return config
+            grid = phase_transition_grid(config.component_counts, config.counts, config.trials,
+                                         config.signal_length, pt.get_list("rates", float))
+        return replace(config, grid=grid)
 
     signal = _require(sections, "signal")
     length = signal.get("length", int, required=True)
@@ -356,20 +358,10 @@ def _read(sections) -> ExperimentConfig:
         snr_in = table.get_list("snr_in_db", float, required=True)
         counts = table.get_list("counts", int, required=True)
         trials = table.get("trials", int, required=True)
-        for key, values in (("snr_in_db", snr_in), ("counts", counts)):
-            if not values:
-                raise ConfigError(f"[snr_table] {key}: needs at least one value")
-        for n in counts:
-            if not 1 <= n <= length:
-                raise ConfigError(f"[snr_table] counts: measurement count {n} is below 1 "
-                                  f"or exceeds signal length {length}")
-        for snr in snr_in:
-            if not math.isfinite(snr):
-                raise ConfigError(f"[snr_table] snr_in_db: {snr} is not finite")
-        if trials < 1:
-            raise ConfigError("[snr_table] trials must be positive")
-        return ExperimentConfig(**common, snr_in_db=snr_in, snr_counts=counts,
-                                snr_trials=trials, snr_seed=table.get("seed", int, default=0))
+        with table.checked():
+            snr_table_cells(snr_in, counts, trials, length)
+        return ExperimentConfig(**common, snr_in_db=snr_in, counts=counts, trials=trials,
+                                seed=table.get("seed", int, default=0))
 
     noise_section = sections.get("noise")
     noise = _parse_noise(noise_section) if noise_section is not None else NoiseSpec()

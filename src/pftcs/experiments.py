@@ -7,13 +7,14 @@ files are byte-identical across runs.
 
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import csvio
-from .analysis import phase_transition, relative_error, snr_experiment
+from .analysis import phase_transition, relative_error, snr_experiment, snr_table_cells
 from .config import ConfigError, ExperimentConfig
 from .lpft import lpft_cs_estimate, lpft_recover
 from .model import (
@@ -38,16 +39,11 @@ class ExperimentOutcome:
 
 def synthesize_config_signal(config: ExperimentConfig) -> np.ndarray:
     """Clean full-length samples for a component or piecewise config."""
-    length = config.signal_length
-    origin = config.index_origin
-    out = np.zeros(length, dtype=np.complex128)
-    for comp in config.components:
-        out += comp.sample(np.arange(origin, origin + length), length)
+    length, origin = config.signal_length, config.index_origin
+    out = synthesize(MultiComponentSignal(config.components, length, origin))
     for piece in config.pieces:
-        positions = np.arange(piece.start, piece.stop)
         out[piece.start - origin:piece.stop - origin] += piece.component.sample(
-            positions, length
-        )
+            np.arange(piece.start, piece.stop), length)
     return out
 
 
@@ -131,17 +127,10 @@ def _run_sweep_recover(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
 
 
 def _runs(assignments):
-    current = None
-    for a in assignments:
-        key = a.grid_index
-        if current is None or key != current[2]:
-            if current is not None:
-                yield current
-            current = [a.window_index, a.window_index, key]
-        else:
-            current[1] = a.window_index
-    if current is not None:
-        yield current
+    """``(first, last, grid_index)`` of each run of windows with one grid index."""
+    for key, run in itertools.groupby(assignments, lambda a: a.grid_index):
+        run = list(run)
+        yield run[0].window_index, run[-1].window_index, key
 
 
 def _run_lpft_recover(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
@@ -184,16 +173,17 @@ def _run_lpft_recover(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
 def _run_snr_table(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
     signal = MultiComponentSignal(config.components, config.signal_length,
                                   config.index_origin)
-    rows = [(s, n) for s in config.snr_in_db for n in config.snr_counts]
+    cells = snr_table_cells(config.snr_in_db, config.counts, config.trials,
+                            config.signal_length)
     reports = [
         snr_experiment(signal, snr_in, count, config.grid, config.policy,
-                       config.snr_trials, (config.snr_seed, row_index), config.recover)
-        for row_index, (snr_in, count) in enumerate(rows)
+                       config.trials, (config.seed, row_index), config.recover)
+        for row_index, (snr_in, count) in enumerate(cells)
     ]
 
     files = []
     _write(files, out_dir, "snr_table.csv", csvio.write_snr_table_csv, reports)
-    summary = [f"trials per cell: {config.snr_trials}"]
+    summary = [f"trials per cell: {config.trials}"]
     for rep in reports:
         summary.append(
             f"SNR_in {rep.snr_in_db:g} dB, N={rep.n_measurements}: "
@@ -205,13 +195,13 @@ def _run_snr_table(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
 
 
 def _run_phase_transition(config: ExperimentConfig, out_dir) -> ExperimentOutcome:
-    grid = phase_transition(config.pt_components, config.pt_counts, config.pt_trials,
-                            config.pt_seed, config.pt_length, config.pt_rates)
+    grid = phase_transition(config.component_counts, config.counts, config.trials,
+                            config.seed, config.signal_length, config.grid.orders[0][1])
 
     files = []
     _write(files, out_dir, "phase_transition.csv", csvio.write_phase_transition_csv, grid)
     summary = [
-        f"signal length {grid.length}, {config.pt_trials} trials per cell",
+        f"signal length {grid.length}, {config.trials} trials per cell",
         "N: " + " ".join(f"{n:>5d}" for n in grid.n_values),
     ]
     for i, k in enumerate(grid.k_values):

@@ -131,8 +131,11 @@ class ParameterGrid:
 
     def params(self, g) -> KernelParams:
         """Kernel coefficients of grid point ``g``: column ``g`` of
-        :func:`_kernel_coeffs` without its linear term."""
-        return KernelParams(tuple(_kernel_coeffs(self)[1:, g].tolist()))
+        :func:`_kernel_coeffs` without its linear term, from row ``g`` alone."""
+        coeffs = [0.0] * (self.orders[-1][0] - 1)
+        for (order, _), rate in zip(self.orders, self.rates[g].tolist()):
+            coeffs[order - 2] = -rate
+        return KernelParams(tuple(coeffs))
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,7 @@ class TestSnrTable:
         ref = resources.files("pftcs").joinpath("configs", "ex4.cfg")
         with resources.as_file(ref) as path:
             config = parse_config(path)
-        assert config.snr_trials == 1000
+        assert config.trials == 1000
         run_experiment(config, str(tmp_path))
         reports = read_snr_table_csv(tmp_path / "snr_table.csv")
 

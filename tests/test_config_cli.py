@@ -11,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pftcs import cli, experiments, phase_transition, recovery
+from pftcs.analysis import snr_experiment, snr_table_cells
 from pftcs.config import ConfigError, parse_config, parse_config_string
 from pftcs.lpft import _check_window
+from pftcs.model import MultiComponentSignal
 from pftcs.recovery import ThresholdPolicy
 
 TINY_RECOVER = """\
@@ -313,17 +315,17 @@ class TestParseHappyPaths:
     def test_snr_table_fields(self):
         config = parse_config_string(TINY_SNR)
         assert config.snr_in_db == (10.0,)
-        assert config.snr_counts == (32,)
-        assert config.snr_trials == 2
-        assert config.snr_seed == 7
+        assert config.counts == (32,)
+        assert config.trials == 2
+        assert config.seed == 7
 
     def test_phase_transition_fields(self):
         config = parse_config_string(TINY_PT)
-        assert config.pt_length == 32
-        assert config.pt_components == (1,)
-        assert config.pt_counts == (4, 8)
-        assert config.pt_trials == 2
-        assert config.pt_rates == (0.0, 16.0)
+        assert config.signal_length == 32
+        assert config.component_counts == (1,)
+        assert config.counts == (4, 8)
+        assert config.trials == 2
+        assert config.grid.orders == ((2, (0.0, 16.0)),)
 
     def test_recover_section(self):
         text = TINY_RECOVER + "\n[recover]\nmax_components = 4\npursuit = exact\n"
@@ -369,7 +371,7 @@ class TestParseErrors:
     def test_phase_transition_cells_bounded(self, monkeypatch):
         # length 32 times 2 configured rates, or times the 8 default rates
         monkeypatch.setattr(recovery, "MAX_ESTIMATE_CELLS", 64)
-        assert parse_config_string(TINY_PT).pt_rates == (0.0, 16.0)
+        assert parse_config_string(TINY_PT).grid.orders[0][1] == (0.0, 16.0)
         with pytest.raises(ConfigError, match=r"\[phase_transition\] length and rates: "
                                               r"signal length 32 times 8 grid points"):
             parse_config_string(TINY_PT.replace("rates = 0 16\n", ""))
@@ -383,11 +385,11 @@ class TestParseErrors:
         def components(text, k):
             return parse_config_string(text.replace("components = 1", f"components = {k}"))
 
-        assert components(TINY_PT, 64).pt_components == (64,)
+        assert components(TINY_PT, 64).component_counts == (64,)
         with pytest.raises(ConfigError, match=r"\[phase_transition\] components: 65 "):
             components(TINY_PT, 65)
         no_rates = TINY_PT.replace("rates = 0 16\n", "")
-        assert components(no_rates, 256).pt_components == (256,)
+        assert components(no_rates, 256).component_counts == (256,)
         with pytest.raises(ConfigError, match=r"\[phase_transition\] components: 257 "):
             components(no_rates, 257)
 
@@ -428,6 +430,30 @@ class TestParseErrors:
     def test_snr_table_values_rejected(self, old, new, key):
         with pytest.raises(ConfigError, match=rf"\[snr_table\] {key}: "):
             parse_config_string(TINY_SNR.replace(old, new))
+
+    @pytest.mark.parametrize("old, new, key", BAD_SNR_TABLE + [("trials = 2", "trials = 0",
+                                                                 "trials")])
+    def test_snr_table_rules_shared_with_library(self, old, new, key):
+        # the parser and the library apply one rule set: snr_experiment
+        # raises its one cell's message, the parser the same text prefixed
+        # with the section
+        good = parse_config_string(TINY_SNR)
+        args = {"snr_in_db": good.snr_in_db, "counts": good.counts, "trials": good.trials}
+        name, _, raw = (part.strip() for part in new.partition("="))
+        words = tuple(map(float if name == "snr_in_db" else int, raw.split()))
+        args[name] = words[0] if name == "trials" else words
+        with pytest.raises(ValueError) as library:
+            snr_table_cells(args["snr_in_db"], args["counts"], args["trials"], 64)
+        assert str(library.value).startswith(key)
+        if args["snr_in_db"] and args["counts"]:
+            signal = MultiComponentSignal(good.components, good.signal_length)
+            with pytest.raises(ValueError) as cell:
+                snr_experiment(signal, args["snr_in_db"][0], args["counts"][0], good.grid,
+                               good.policy, args["trials"], seed=7)
+            assert str(cell.value) == str(library.value)
+        with pytest.raises(ConfigError) as config:
+            parse_config_string(TINY_SNR.replace(old, new))
+        assert str(config.value) == f"[snr_table] {library.value}"
 
     def test_unknown_kind(self):
         text = TINY_RECOVER.replace("kind = sweep-recover", "kind = mystery")
@@ -999,6 +1025,31 @@ class TestCliDeterminism:
                          "--seed", "99"]) == 0
         assert ((base / "measurements.csv").read_bytes()
                 != (moved / "measurements.csv").read_bytes())
+
+    def test_seed_reaches_snr_table_seed(self, tmp_path):
+        # ex4's own seed 7 through --seed is the run without it; seed 8 is not
+        text = resources.files("pftcs").joinpath("configs", "ex4.cfg").read_text()
+        cfg = write_config(tmp_path, text.replace("trials = 1000", "trials = 2"))
+        runs = {}
+        for name, flag in (("own", []), ("seven", ["--seed", "7"]), ("eight", ["--seed", "8"])):
+            out = str(tmp_path / name)
+            assert cli.main(["snr-table", "--config", cfg, "--out", out] + flag) == 0
+            runs[name] = (tmp_path / name / "snr_table.csv").read_bytes()
+        assert runs["seven"] == runs["own"] != runs["eight"]
+
+    def test_seed_reaches_phase_transition_seed(self, tmp_path):
+        # ex5's own seed 17 through --seed writes the pinned 20-trial map
+        # that the run without --seed writes; seed 18 does not
+        text = resources.files("pftcs").joinpath("configs", "ex5.cfg").read_text()
+        cfg = write_config(tmp_path, text.replace("trials = 200", "trials = 20"))
+        pinned = os.path.join(os.path.dirname(__file__), "data", "ex5_t20_s17.csv")
+        with open(pinned, "rb") as handle:
+            expected = handle.read()
+        for seed, same in (("17", True), ("18", False)):
+            out = tmp_path / seed
+            assert cli.main(["phase-transition", "--config", cfg, "--out", str(out),
+                             "--seed", seed]) == 0
+            assert ((out / "phase_transition.csv").read_bytes() == expected) == same
 
     @pytest.mark.parametrize("command", ["sweep", "recover"])
     def test_seed_override_equals_config_seed(self, tmp_path, command):
