@@ -55,9 +55,12 @@ MIN_SCALE = float(np.finfo(np.float64).tiny)
 OFFGRID_RESIDUAL = 1e-6
 # Most grid points a ParameterGrid may hold.
 MAX_GRID_POINTS = 1 << 16
-# Most cells (grid points times signal length M) of the complex (points, M)
-# estimate that every sweep round allocates: 256 MiB.
+# Most cells (grid points times signal length M) of a (points, M) estimate:
+# the LPFT sweep allocates it complex (256 MiB), and exact pursuit keeps two
+# of its magnitudes.
 MAX_ESTIMATE_CELLS = 1 << 24
+# Cells of one tile of a grid scan: 128 KiB of complex.
+SCAN_TILE_CELLS = 1 << 13
 
 
 class RankDeficiencyError(RuntimeError):
@@ -264,7 +267,7 @@ def _check_estimate_cells(length: int, n_points: int):
                          f"is more than {MAX_ESTIMATE_CELLS} estimate cells")
 
 
-def _scatter_spectra(meas: MeasurementSet, weighted, window=None) -> np.ndarray:
+def _scatter_spectra(meas: MeasurementSet, weighted, window=None, tiles=None) -> np.ndarray:
     """Masked per-window spectra of every column, via one zero-filled FFT.
 
     ``weighted`` is (N, G): per grid point, the measurement values already
@@ -275,16 +278,25 @@ def _scatter_spectra(meas: MeasurementSet, weighted, window=None) -> np.ndarray:
     which is unbiased at a matched component's bin.  Windows with no
     samples are zero.  Returns the (G, n_windows, W) array, grid point
     first, so that its row-major order is the (grid point, bin) tie order.
+
+    ``tiles``, a pair of complex arrays of at least G rows of ``M``, is the
+    caller's scratch: the first G rows of the first are the scatter, which
+    must be zero outside the columns of ``meas``'s positions, and the FFT
+    writes into the second, of which the result is a view.
     """
     m_len = meas.signal_length
     n_points = weighted.shape[1]
-    _check_estimate_cells(m_len, n_points)
     window = m_len if window is None else window
     n_win = m_len // window
     q = meas.positions - meas.index_origin
-    full = np.zeros((n_points, m_len), dtype=np.complex128)
+    if tiles is None:
+        _check_estimate_cells(m_len, n_points)
+        tiles = np.zeros((n_points, m_len), dtype=np.complex128), None
+    full, out = tiles[0][:n_points], tiles[1]
     full[:, q] = weighted.T
-    spectra = np.fft.fft(full.reshape(n_points, n_win, window), axis=-1)
+    if out is not None:
+        out = out[:n_points].reshape(n_points, n_win, window)
+    spectra = np.fft.fft(full.reshape(n_points, n_win, window), axis=-1, out=out)
     # the global estimate runs once per pursuit round; skip its bincount
     counts = np.bincount(q // window, minlength=n_win) if n_win > 1 else (meas.count,)
     for b, n_b in enumerate(counts):
@@ -349,25 +361,97 @@ def _atoms(meas: MeasurementSet, kernels: np.ndarray, bins, roots=None) -> np.nd
     return np.conj(kernels) * roots[np.multiply.outer(meas.positions, bins) % meas.signal_length]
 
 
-def _grid_estimates(meas: MeasurementSet, kernels: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(G, M) spectral estimates of ``values`` for every grid point at once."""
-    return _scatter_spectra(meas, values[:, None] * kernels)[:, 0]
+class _GridScan:
+    """Magnitude estimates of a vector at every grid point, tile by tile.
+
+    One scan serves every round of a call.  It allocates its scratch once:
+    the (N, G) weighted samples and (T, M) scatter, FFT-output and
+    magnitude tiles of ``T = max(1, SCAN_TILE_CELLS // M)`` grid points
+    (at most G).  A tile rewrites only the columns of the measurement
+    positions of the scatter, so the rest stays zero.
+    """
+
+    def __init__(self, meas: MeasurementSet, kernels: np.ndarray):
+        m_len, n_points = meas.signal_length, kernels.shape[1]
+        _check_estimate_cells(m_len, n_points)
+        rows = min(n_points, max(1, SCAN_TILE_CELLS // m_len))
+        self.meas, self.kernels = meas, kernels
+        self.weighted = np.empty_like(kernels)
+        self.scratch = (np.zeros((rows, m_len), dtype=np.complex128),
+                        np.empty((rows, m_len), dtype=np.complex128))
+        self.mags = np.empty((rows, m_len))
+
+    def tiles(self, values: np.ndarray, out=None):
+        """Yield ``(rows, mags)`` per tile: a slice of grid points and the
+        magnitudes of their estimates of ``values``, which land in those
+        rows of the (G, M) ``out`` when it is given."""
+        # this operand order fixes the bits of every estimate
+        np.multiply(values[:, None], self.kernels, out=self.weighted)
+        size = self.mags.shape[0]
+        for start in range(0, self.kernels.shape[1], size):
+            rows = slice(start, start + size)
+            spectra = _scatter_spectra(self.meas, self.weighted[:, rows], tiles=self.scratch)[:, 0]
+            mags = self.mags[:len(spectra)] if out is None else out[rows]
+            yield rows, np.abs(spectra, out=mags)
+
+    def reduce(self, values: np.ndarray, policy: ThresholdPolicy, tried=None, out=None,
+               record=None):
+        """Reduce the estimate of ``values`` tile by tile to its rows' policy
+        thresholds.
+
+        ``record``, a (G,) scores and a (G,) peaks array, receives the rows'
+        :func:`_row_tops`.  With a (G, M) ``tried`` mask, returns an
+        iterator over the cells at or above threshold that it does not
+        hold, ranked as :func:`_ranked_hits` ranks them, as ``(point, bin,
+        magnitude)``.  ``out`` receives the magnitudes, as in :meth:`tiles`.
+        """
+        flats, found = [], []
+        for rows, mags in self.tiles(values, out):
+            thresholds = policy.column_thresholds(mags)
+            if record is not None:
+                record[0][rows], record[1][rows] = _row_tops(mags, thresholds)
+            if tried is not None:
+                flat = np.flatnonzero((mags >= thresholds[:, None]) & (mags > 0.0))
+                found.append(mags.ravel()[flat])
+                flats.append(flat + rows.start * mags.shape[1])
+        if tried is None:
+            return None
+        flat, found = np.concatenate(flats), np.concatenate(found)
+        fresh = ~tried.ravel()[flat]
+        flat, found = flat[fresh], found[fresh]
+        # the tiles are in row-major order, the (point, bin) tie order
+        order = np.argsort(-found, kind="stable")
+        m_len = self.mags.shape[1]
+        return ((*divmod(int(flat[i]), m_len), float(found[i])) for i in order)
+
+    def sweep(self, grid: ParameterGrid, policy: ThresholdPolicy, tried=None, out=None):
+        """The :func:`sweep` of the measurements, and the cells that
+        :meth:`reduce` ranks for ``tried`` (``out`` receives the
+        magnitudes)."""
+        record = np.empty(grid.n_points), np.empty(grid.n_points, dtype=np.intp)
+        cells = self.reduce(self.meas.values, policy, tried, out, record)
+        return SweepResult(grid, *record), cells
 
 
 def sweep(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy) -> SweepResult:
     """Single-pass sweep: per grid point, the top peak at or above its
     column's policy threshold (0 where none) and its bin (-1 where none;
     ties go to the lower bin)."""
-    mags = np.abs(_grid_estimates(meas, _kernel_matrix(meas, grid), meas.values))
-    return _sweep_records(grid, mags, policy.column_thresholds(mags))
+    return _GridScan(meas, _kernel_matrix(meas, grid)).sweep(grid, policy)[0]
+
+
+def _row_tops(mags: np.ndarray, thresholds):
+    """Top cell of every row of ``mags`` that reaches its threshold: the
+    rows' scores (0 where none) and peaks (-1 where none)."""
+    peaks = np.argmax(mags, axis=1)  # ties go to the lower bin
+    top = mags[np.arange(mags.shape[0]), peaks]
+    scores = np.where(top >= thresholds, top, 0.0)
+    return scores, np.where(scores > 0, peaks, -1)
 
 
 def _sweep_records(grid: ParameterGrid, mags: np.ndarray, thresholds) -> SweepResult:
     """Top cell of every row of a (G, M) ``mags`` that reaches its threshold."""
-    peaks = np.argmax(mags, axis=1)  # ties go to the lower bin
-    top = mags[np.arange(mags.shape[0]), peaks]
-    scores = np.where(top >= thresholds, top, 0.0)
-    return SweepResult(grid, scores, np.where(scores > 0, peaks, -1))
+    return SweepResult(grid, *_row_tops(mags, thresholds))
 
 
 def _rank_rule(n: int, k: int, gram, bound=math.inf):
@@ -567,20 +651,27 @@ def _residual_ratio(left, y):
     return _energy(left / scale) / energy
 
 
-def _best_pair(meas: MeasurementSet, kernels: np.ndarray, mags: np.ndarray):
-    """Strongest two-atom joint fit among the strongest positive cells of ``mags``.
+def _pair_pool(mags: np.ndarray):
+    """The ``PAIR_POOL`` strongest positive cells of a (G, M) ``mags``,
+    ranked as :func:`_ranked_hits` ranks them: (points, bins, magnitudes)."""
+    cols, bins = _ranked_hits(mags, 0.0)
+    cols, bins = cols[:PAIR_POOL], bins[:PAIR_POOL]
+    return cols, bins, mags[cols, bins]
+
+
+def _best_pair(meas: MeasurementSet, kernels: np.ndarray, pool):
+    """Strongest two-atom joint fit among the cells of ``pool``.
 
     Components of comparable strength can all sit below the largest clutter
     value of a sparse estimate, in which case no single-atom greedy start
     recovers them; a joint two-atom fit is far more selective because only
     the true pair drives the residual toward zero.  Returns the best pair as
-    ``[(point_index, bin, magnitude), ...]`` or ``None`` when fewer than two
-    cells are positive.  ``mags`` is the (G, M) estimate of the measurements
-    and ``kernels`` the (N, G) kernel matrix.  The pool is the ``PAIR_POOL``
-    strongest cells and nearly collinear pairs are skipped.
+    ``[(point_index, bin, magnitude), ...]`` or ``None`` when the pool holds
+    fewer than two cells.  ``pool`` is the :func:`_pair_pool` of the
+    estimate of the measurements and ``kernels`` the (N, G) kernel matrix.
+    Nearly collinear pairs are skipped.
     """
-    cols, bins = _ranked_hits(mags, 0.0)
-    cols, bins = cols[:PAIR_POOL], bins[:PAIR_POOL]
+    cols, bins, mags = pool
     if bins.size < 2:
         return None
     atoms = _atoms(meas, kernels[:, cols], bins)
@@ -604,7 +695,7 @@ def _best_pair(meas: MeasurementSet, kernels: np.ndarray, mags: np.ndarray):
     score = np.where(valid, np.divide(captured, det, where=det > 0,
                                       out=np.zeros_like(captured)), -np.inf)
     i, j = np.unravel_index(int(np.argmax(score)), score.shape)
-    return [(int(cols[k]), int(bins[k]), float(mags[cols[k], bins[k]])) for k in (i, j)]
+    return [(int(cols[k]), int(bins[k]), float(mags[k])) for k in (i, j)]
 
 
 def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
@@ -621,7 +712,9 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     fit fails :func:`_rank_rule` is skipped, and the next argmax is taken;
     this keeps near-duplicate atoms, which are strongly correlated over few
     measurements, out of the support.  Threshold mode admits open cells
-    until none is left.  Exact mode is orthogonal matching pursuit: its
+    until none is left; it reduces the estimate to them tile by tile
+    (:class:`_GridScan`), so no round holds the whole estimate.  Exact
+    mode is orthogonal matching pursuit: its
     threshold is 0 and it admits one cell per round, so noiseless on-grid
     signals are driven to a numerically zero residual, and a pass that
     misses is restarted once from the best two-atom fit.  The policy then
@@ -643,9 +736,24 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
     y = meas.values
     scale, y_energy = _ratio_scale(y)
     cap = cfg.max_components if cfg.max_components is not None else max(1, min(m_len, n_meas - 1))
-    first = np.abs(_grid_estimates(meas, kernels, y))
-    first_thresholds = policy.column_thresholds(first)
-    swept = _sweep_records(grid, first, first_thresholds)
+    scan = _GridScan(meas, kernels)
+    tried = np.zeros((grid.n_points, m_len), dtype=bool)
+    # exact mode walks every cell of a round: the first round's magnitudes
+    # and a walk buffer live for the whole call
+    first = np.empty(tried.shape) if exact else None
+    walk = np.empty(tried.shape) if exact else None
+    swept, first_cells = scan.sweep(grid, policy, None if exact else tried, first)
+
+    def walked(mags):
+        """Open cells of ``mags`` by magnitude descending, ties to the first
+        in row-major order, zeroing each; exact mode's threshold is 0."""
+        mags[tried] = 0.0
+        while True:
+            pi, b = divmod(int(np.argmax(mags)), m_len)
+            if not mags[pi, b] > 0.0:
+                return
+            mag, mags[pi, b] = float(mags[pi, b]), 0.0
+            yield pi, b, mag
 
     def pursue(seed=()):
         """One growth-only pass; returns its support and its :class:`_GrownFit`.
@@ -655,7 +763,7 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
         the pass's best.
         """
         support = []      # [(point_index, bin, raw_magnitude)]
-        tried = np.zeros(first.shape, dtype=bool)  # cells never considered twice
+        tried[:] = False  # cells never considered twice
         fit = _GrownFit(y, scale, y_energy)
 
         def admit(pi, b, mag):
@@ -669,23 +777,24 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
             admit(pi, b, mag)
 
         while fit.ratio > RESIDUAL_TOL and len(support) < cap:
-            if support:
-                mags = np.abs(_grid_estimates(meas, kernels, fit.residual))
-            else:  # the residual is still y
-                mags = first
-            open_cells = np.where(tried, 0.0, mags)
-            if not exact:  # exact mode's threshold is 0
-                thresholds = policy.column_thresholds(mags) if support else first_thresholds
-                open_cells[mags < thresholds[:, None]] = 0.0
+            if exact:
+                if support:
+                    for _ in scan.tiles(fit.residual, walk):  # fills walk
+                        pass
+                else:  # the residual is still y
+                    walk[:] = first
+                cells = walked(walk)
+            elif support:
+                cells = scan.reduce(fit.residual, policy, tried)
+            else:  # the residual is still y, and threshold mode has no seed
+                cells = first_cells
             admitted = 0
             limit = 1 if exact else cap - len(support)
             while admitted < limit and fit.ratio > RESIDUAL_TOL:
-                # the first maximum in row-major order breaks ties
-                pi, b = divmod(int(np.argmax(open_cells)), m_len)
-                if not open_cells[pi, b] > 0.0:
+                cell = next(cells, None)
+                if cell is None:
                     break
-                open_cells[pi, b] = 0.0
-                admitted += admit(pi, b, float(mags[pi, b]))
+                admitted += admit(*cell)
             if not admitted:
                 break
         return support, fit
@@ -695,7 +804,7 @@ def recover(meas: MeasurementSet, grid: ParameterGrid, policy: ThresholdPolicy,
         # seed with the best joint two-atom fit instead of the single
         # strongest cell, which rescues components of similar size that all
         # sit just below the sparse estimate's clutter maximum
-        pair = _best_pair(meas, kernels, first)
+        pair = _best_pair(meas, kernels, _pair_pool(first))
         if pair is not None:
             support, fit = min((support, fit), pursue(seed=pair), key=lambda run: run[1].ratio)
     amps, residual_ratio = fit.amplitudes(), fit.ratio

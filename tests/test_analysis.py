@@ -1,6 +1,8 @@
 """Noise and Monte-Carlo analysis tests."""
 
 import math
+from dataclasses import replace
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +20,14 @@ from pftcs import (
     theoretical_snr_out,
 )
 from pftcs.analysis import _draw_components, _trial_rng, _true_support
+from pftcs.config import parse_config
 from pftcs.csvio import write_phase_transition_csv
+from pftcs.experiments import run_experiment
 
 # the 20-trial, seed-17 map of the bundled ex5 config
 PINNED_EX5_MAP = Path(__file__).parent / "data" / "ex5_t20_s17.csv"
+# the 8-trial table of the bundled ex4 config
+PINNED_EX4_TABLE = Path(__file__).parent / "data" / "ex4_t8.csv"
 
 
 class TestSnrDb:
@@ -167,6 +173,15 @@ class TestSnrExperiment:
         np.testing.assert_equal(a.snr_out_measured_db, b.snr_out_measured_db)
         assert a.failures == b.failures
         assert a.per_trial_db == b.per_trial_db
+
+    def test_pinned_ex4_table(self, tmp_path):
+        # every trial admits from a threshold-mode scan of 41 rates at
+        # M = 1024, so a change in any estimate bit that moves a detection
+        # or an amplitude moves the table
+        with resources.as_file(resources.files("pftcs").joinpath("configs", "ex4.cfg")) as path:
+            config = parse_config(path)
+        run_experiment(replace(config, trials=8), str(tmp_path))
+        assert (tmp_path / "snr_table.csv").read_bytes() == PINNED_EX4_TABLE.read_bytes()
 
     def test_trial_count_validation(self):
         signal, grid, policy = self.make_case()

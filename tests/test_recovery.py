@@ -1,6 +1,7 @@
 """Recovery tests: spectral estimate, detection, least squares, pursuit."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,13 +34,15 @@ from pftcs import phase_cycles, recovery
 from pftcs.model import FIT_GAIN
 from pftcs.csvio import write_sweep_csv
 from pftcs.recovery import (
+    SCAN_TILE_CELLS,
+    _GridScan,
     _GrownFit,
     _atoms,
     _best_pair,
     _column_median,
-    _grid_estimates,
     _kernel_coeffs,
     _kernel_matrix,
+    _pair_pool,
     _ranked_hits,
     _ratio_scale,
     _residual_ratio,
@@ -58,6 +61,12 @@ def direct_estimate(meas, params):
             q = pos - meas.index_origin
             out[k] += val * f * np.exp(-2j * np.pi * k * q / m_len)
     return out * (m_len / meas.count)
+
+
+def dense_estimates(meas, kernels, values):
+    """(G, M) estimates of ``values`` at every grid point, from one
+    untiled scatter-FFT."""
+    return _scatter_spectra(meas, values[:, None] * kernels)[:, 0]
 
 
 def phase_atoms(meas, detected):
@@ -97,7 +106,7 @@ class TestSpectralEstimate:
     def test_fft_batch_matches_direct_estimate(self):
         meas, _ = chirp_measurements(length=64, count=20, index_origin=-32)
         grid = ParameterGrid.single(2, (0.0, 16.0, 24.0))
-        batch = _grid_estimates(meas, _kernel_matrix(meas, grid), meas.values)
+        batch = dense_estimates(meas, _kernel_matrix(meas, grid), meas.values)
         for g, rate in enumerate((0.0, 16.0, 24.0)):
             single = cs_spectral_estimate(meas, KernelParams((-rate,))).coeffs
             np.testing.assert_allclose(batch[g], single,
@@ -466,6 +475,81 @@ class TestSweep:
         assert (found.peaks[found.scores == 0.0] == -1).all()
 
 
+@st.composite
+def tile_cases(draw):
+    """Measurements of random values, a grid of one tile T, T +- 1 points
+    or 41 points, a policy and a random set of tried cells."""
+    length = draw(st.sampled_from([32, 128, 1024]))
+    tile = max(1, SCAN_TILE_CELLS // length)
+    points = draw(st.sampled_from([1, tile - 1, tile, tile + 1, 41]).filter(lambda g: g > 0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    count = draw(st.integers(1, min(length, 64)))
+    origin = draw(st.sampled_from([0, -(length // 2)]))
+    positions = np.sort(rng.choice(length, count, replace=False)) + origin
+    values = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    meas = MeasurementSet(positions, values, length, origin)
+    step = draw(st.sampled_from([0.5, 1.0, 8.0]))
+    grid = ParameterGrid.single(2, tuple(step * (g - points // 2) for g in range(points)))
+    policy = draw(st.sampled_from([ThresholdPolicy.relative(0.5),
+                                   ThresholdPolicy.statistic(0.99)]))
+    tried = rng.random((points, length)) < 0.05
+    return meas, grid, policy, tried
+
+
+class TestTiledScan:
+    """The scan of a grid tile by tile equals one untiled scatter-FFT of
+    the whole grid bit for bit, whichever tile edge the grid ends on."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(tile_cases())
+    def test_tiles_match_dense_estimate(self, case):
+        meas, grid, policy, tried = case
+        kernels = _kernel_matrix(meas, grid)
+        mags = np.abs(dense_estimates(meas, kernels, meas.values))
+        thresholds = policy.column_thresholds(mags)
+        scan = _GridScan(meas, kernels)
+        tiled = np.concatenate([policy.column_thresholds(tile)
+                                for _, tile in scan.tiles(meas.values)])
+        assert tiled.tobytes() == thresholds.tobytes()
+        got = np.empty_like(mags)
+        swept, cells = scan.sweep(grid, policy, tried, got)
+        assert got.tobytes() == mags.tobytes()
+        dense = _sweep_records(grid, mags, thresholds)
+        assert swept.scores.tobytes() == dense.scores.tobytes()
+        assert swept.peaks.tobytes() == dense.peaks.tobytes()
+        points, bins = _ranked_hits(np.where(tried, 0.0, mags), thresholds[:, None])
+        assert list(cells) == list(zip(points.tolist(), bins.tolist(),
+                                       mags[points, bins].tolist()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(tile_cases().filter(lambda case: case[1].n_points > SCAN_TILE_CELLS
+                               // case[0].signal_length))
+    def test_recover_returns_its_sweep_over_tiles(self, case):
+        meas, grid, policy, _ = case
+        found = sweep(meas, grid, policy)
+        for pursuit in ("threshold", "exact"):
+            result = recover(meas, grid, policy, RecoverConfig(max_components=3, pursuit=pursuit))
+            assert result.sweep.scores.tobytes() == found.scores.tobytes()
+            assert result.sweep.peaks.tobytes() == found.peaks.tobytes()
+
+    def test_threshold_recover_holds_no_whole_estimate(self):
+        # 256 grid points of a length-4096 signal: one float (G, M) array is
+        # 8 MiB, and one complex estimate 16 MiB
+        length = 4096
+        comp = PolyPhaseComponent(1.0, (300.0, -16.0))
+        meas = MeasurementSet.from_samples(synthesize_components([comp], length),
+                                           select_measurements(length, 64, 0, 5), length)
+        grid = ParameterGrid.from_range(2, -2032.0, 2048.0, 16.0)
+        tracemalloc.start()
+        try:
+            result = recover(meas, grid, ThresholdPolicy.relative(0.5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [(c.freq_bin, c.params.higher_coeffs) for c in result.components] == [(300, (-16.0,))]
+        assert peak < 1.5 * 8 * grid.n_points * length + 2**20
+
+
 class TestRecover:
     def grid(self):
         return ParameterGrid.single(2, (0.0, 8.0, 16.0, 24.0, 32.0))
@@ -689,7 +773,7 @@ class TestOriginShift:
     def test_sweep_columns_roll_by_rate(self, case):
         zero, centered, policy = case
         length, rates = zero.signal_length, [int(v) for v in SCALE_RATES]
-        mags = [np.abs(_grid_estimates(m, _kernel_matrix(m, self.GRID), m.values))
+        mags = [np.abs(dense_estimates(m, _kernel_matrix(m, self.GRID), m.values))
                 for m in (zero, centered)]
         tol = 1e-9 * mags[0].max()
         for g, v in enumerate(rates):
@@ -770,7 +854,7 @@ class TestPursuitRounds:
         samples = synthesize_components(comps, length)
         meas = MeasurementSet.from_samples(samples, select_measurements(length, 24, seed=3),
                                            length)
-        rule, estimate = recovery._rank_rule, recovery._grid_estimates
+        rule, tiles = recovery._rank_rule, _GridScan.tiles
         calls = 0
 
         def one_atom_only(n, k, gram, bound=math.inf):
@@ -778,12 +862,13 @@ class TestPursuitRounds:
             return False if k >= 2 else rule(n, k, gram, bound)
 
         def counted(*args):
+            # one call scans the whole grid
             nonlocal calls
             calls += 1
-            return estimate(*args)
+            return tiles(*args)
 
         monkeypatch.setattr(recovery, "_rank_rule", one_atom_only)
-        monkeypatch.setattr(recovery, "_grid_estimates", counted)
+        monkeypatch.setattr(_GridScan, "tiles", counted)
         result = recover(meas, ParameterGrid.single(2, (-16.0, 0.0, 16.0)),
                          ThresholdPolicy.relative(0.3), RecoverConfig(pursuit=pursuit))
         assert len(result.components) == 1
@@ -1045,8 +1130,8 @@ class TestBestPair:
         meas = MeasurementSet.from_samples(samples, positions, length)
         grid = ParameterGrid.single(2, (0.0, 16.0, 32.0))
         kernels = _kernel_matrix(meas, grid)
-        mags = np.abs(_grid_estimates(meas, kernels, meas.values))
-        pair = _best_pair(meas, kernels, mags)
+        mags = np.abs(dense_estimates(meas, kernels, meas.values))
+        pair = _best_pair(meas, kernels, _pair_pool(mags))
         assert pair is not None
         got = {(grid.rates[pi, 0], b) for pi, b, _ in pair}
         assert got == {(0.0, 10), (32.0, 40)}
@@ -1059,7 +1144,7 @@ class TestBestPair:
         # cut down to the one positive cell by hand
         mags = np.zeros((1, 32))
         mags[0, 5] = 32.0
-        assert _best_pair(meas, kernels, mags) is None
+        assert _best_pair(meas, kernels, _pair_pool(mags)) is None
 
 
 class TestLargestMeasurements:
